@@ -536,106 +536,4 @@ std::string Collector::top_table() const {
   return os.str();
 }
 
-// --- replace_collector -------------------------------------------------------
-
-ReplaceCollectorReport replace_collector(bus::Bus& bus,
-                                         std::unique_ptr<Collector>& collector,
-                                         const std::string& machine,
-                                         const std::function<bool()>& pump,
-                                         std::uint64_t max_rounds) {
-  if (collector == nullptr) {
-    throw support::BusError("replace_collector: no collector attached");
-  }
-  obs::MetricsRegistry* reg = bus.metrics();
-  net::Simulator& sim = bus.simulator();
-  ReplaceCollectorReport report;
-  report.old_instance = collector->module_name();
-  report.requested_at = sim.now();
-
-  // obj_cap: the current specification of the running instance.
-  bus::ModuleInfo info;
-  {
-    obs::Span span(reg, "obj_cap", report.old_instance);
-    info = bus.module_info(report.old_instance);
-  }
-
-  // clone register: a passive twin under a fresh name, possibly elsewhere.
-  std::unique_ptr<Collector> clone;
-  {
-    obs::Span span(reg, "clone_register", report.old_instance);
-    std::string name;
-    for (int k = 2;; ++k) {
-      name = report.old_instance + "#" + std::to_string(k);
-      if (!bus.has_module(name)) break;
-    }
-    report.new_instance = name;
-    clone = std::make_unique<Collector>(bus, name, machine,
-                                        collector->options(), "clone");
-  }
-
-  // bind_edit_prep: repoint every peer binding and capture queued traffic.
-  bus::BindEditBatch batch;
-  {
-    obs::Span span(reg, "bind_edit_prep", report.old_instance);
-    for (const std::string& iface :
-         bus.interface_names(report.old_instance)) {
-      bus::BindingEnd old_end{report.old_instance, iface};
-      bus::BindingEnd new_end{report.new_instance, iface};
-      for (const bus::BindingEnd& peer : bus.bound_peers(old_end)) {
-        batch.add(bus::BindEdit{bus::BindEdit::Op::kDel, old_end, peer});
-        batch.add(bus::BindEdit{bus::BindEdit::Op::kAdd, new_end, peer});
-      }
-      batch.add(bus::BindEdit{bus::BindEdit::Op::kCaptureQueue, old_end,
-                              new_end});
-    }
-  }
-
-  // objstate_move: signal, await the divulged windows, ship them over.
-  {
-    obs::Span span(reg, "objstate_move", report.old_instance);
-    bus.signal_reconfig(report.old_instance);
-    std::uint64_t rounds = 0;
-    while (!bus.has_divulged_state(report.old_instance)) {
-      if (++rounds > max_rounds) {
-        throw support::BusError("replace_collector: " + report.old_instance +
-                                " never divulged its state");
-      }
-      (void)pump();
-    }
-    report.divulged_at = sim.now();
-    std::vector<std::uint8_t> bytes =
-        bus.take_divulged_state(report.old_instance);
-    report.state_bytes = bytes.size();
-    bus.deliver_state(info.machine, report.new_instance, std::move(bytes));
-  }
-
-  // rebind: the batch lands atomically; streams and queues migrate.
-  {
-    obs::Span span(reg, "rebind", report.old_instance);
-    bus.rebind(batch);
-  }
-
-  // add: the clone activates once the state buffer is installed.
-  {
-    obs::Span span(reg, "add", report.old_instance);
-    std::uint64_t rounds = 0;
-    while (!clone->active()) {
-      if (++rounds > max_rounds) {
-        throw support::BusError("replace_collector: " + report.new_instance +
-                                " never restored");
-      }
-      (void)pump();
-    }
-  }
-  report.restored_at = sim.now();
-
-  // del: retire the passivated instance; the clone is the collector now.
-  {
-    obs::Span span(reg, "del", report.old_instance);
-    collector->retire();
-  }
-  collector = std::move(clone);
-  return report;
-}
-
 }  // namespace surgeon::profile

@@ -17,9 +17,10 @@
 //              (totals, rates, p50/p95/p99 via histogram bucket merge)
 //              keyed by machine/module/iface/metric. Answers the new
 //              mh_top query (bus::Client::mh_top / tools/mh_top). It is
-//              itself replaceable by the Figure-5 script below: it
-//              divulges its windows as an abstract state buffer when
-//              signalled, and a clone installs them — no window is lost.
+//              itself replaceable by the Figure-5 script
+//              (reconfig::replace_module): it divulges its windows as an
+//              abstract state buffer when signalled, and a clone installs
+//              them — no window is lost.
 //
 // Window semantics: the window advances with DATA, not with virtual time.
 // A delta is accredited to the slot covering its arrival time; slots are
@@ -204,29 +205,5 @@ class Collector {
   std::vector<Slot> slots_;  // oldest first; size <= options_.slots
   std::map<SeriesId, std::int64_t> gauges_;
 };
-
-// --- Figure-5 replacement of the collector -----------------------------------
-
-struct ReplaceCollectorReport {
-  std::string old_instance;
-  std::string new_instance;
-  net::SimTime requested_at = 0;
-  net::SimTime divulged_at = 0;
-  net::SimTime restored_at = 0;
-  std::size_t state_bytes = 0;
-};
-
-/// Replaces the collector with a clone (optionally on another machine),
-/// following the Figure 5 steps — obj_cap, clone register, bind-edit prep,
-/// objstate move, rebind, add, del — against the bus's native primitives;
-/// each step runs under the same obs::Span names the VM-module script
-/// records, so collector replacements appear on the same disruption
-/// timeline. `pump` advances the world one scheduling round (typically
-/// `[&] { return rt.step(); }`); `collector` is swapped for the clone on
-/// success. Throws support::BusError when the script cannot complete.
-ReplaceCollectorReport replace_collector(
-    bus::Bus& bus, std::unique_ptr<Collector>& collector,
-    const std::string& machine, const std::function<bool()>& pump,
-    std::uint64_t max_rounds = 1'000'000);
 
 }  // namespace surgeon::profile

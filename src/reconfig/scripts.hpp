@@ -22,14 +22,31 @@
 // old instance land in its (now unbound) queues and are moved to the new
 // instance. The 1993 bus had no delivery latency, so the paper never faced
 // in-flight messages; the simulated network does.
+//
+// One transaction engine (transaction.cpp) implements these steps for every
+// reconfiguration in the repository. A Shape configures one run: the clones
+// to create, how each takes its bindings, and whether the state is divulged
+// by the source or supplied by the caller. The engine runs kStepTable row by
+// row; verify::shipped_plans() walks the same table through row_applies(),
+// so a plan cannot drift from its script.
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "app/runtime.hpp"
+
+namespace surgeon::profile {
+class Collector;
+}
+namespace surgeon::slo {
+class Monitor;
+}
 
 namespace surgeon::reconfig {
 
@@ -50,6 +67,10 @@ inline constexpr const char* kStepDrain = "drain";
 /// Not a Figure 5 step: the journal boundary just before the commit record
 /// is written, i.e. after kStepDel completed (surgeon::recover).
 inline constexpr const char* kStepCommit = "commit";
+/// Rows of the step table that write no intent: the journal's begin
+/// record, and the wait for the clones to finish restoring.
+inline constexpr const char* kStepBegin = "begin";
+inline constexpr const char* kStepRestore = "restore";
 
 /// The seven Figure 5 steps, in the order the script performs them.
 inline constexpr std::array<const char*, 7> kFigure5Steps = {
@@ -57,8 +78,8 @@ inline constexpr std::array<const char*, 7> kFigure5Steps = {
     kStepRebind,  kStepAdd,           kStepDel};
 
 /// Thrown when a script cannot complete (module missing, no divulged state
-/// within the budget, faulted clone). The message names the Figure 5 step
-/// and module instance at which the script failed, e.g.
+/// within the budget, faulted clone). The message names the script, the
+/// Figure 5 step and the instance at which it failed, e.g.
 ///   replace_module[objstate_move] module 'server': never divulged ...
 class ScriptError : public support::Error {
  public:
@@ -66,20 +87,22 @@ class ScriptError : public support::Error {
 };
 
 /// Observer for write-ahead journaling of a replacement (surgeon::recover
-/// implements it over the per-machine durable store). The script reports
+/// implements it over the per-machine durable store). The engine reports
 /// every transaction boundary *before* acting on it, so a coordinator that
 /// crashes mid-script leaves enough on disk for a successor to roll the
 /// replacement forward (post-divulge) or back (pre-divulge).
 ///
-/// The boundary sequence is a verified contract: verify's plans carry the
-/// same tags and verify_test pins them against a recording journal, so a
-/// new or reordered boundary must be reflected in verify::shipped_plans()
-/// (where the static checker will prove invariants 1-6 across it).
+/// The boundaries follow kStepTable: the begin record, then one intent per
+/// step that runs (the restore wait writes none), in table order.
+/// verify::shipped_plans() is generated from the same table, and
+/// verify_test runs every journaled configuration against a recording
+/// journal, so a plan's boundaries cannot drift from a run's.
 class ScriptJournal {
  public:
   virtual ~ScriptJournal() = default;
-  /// A replacement transaction opened: old instance, the pre-assigned clone
-  /// name, and the requested target machine ("" = stay in place).
+  /// A transaction opened: the source instance, the clone the transaction
+  /// is about (the last one it registers: the heir of a group rebuild), and
+  /// that clone's requested machine ("" = stay in place).
   virtual void begin(const std::string& old_instance,
                      const std::string& new_instance,
                      const std::string& machine) = 0;
@@ -97,7 +120,8 @@ class ScriptJournal {
 };
 
 struct ReplaceOptions {
-  /// Target machine; empty keeps the module's current machine.
+  /// Target machine; empty keeps the module's current machine. A group
+  /// rebuild places its new member here.
   std::string machine;
   /// Replacement program; null migrates the existing program unchanged.
   /// A replacement must be reconfiguration-compatible: same reconfiguration
@@ -122,11 +146,12 @@ struct ReplaceOptions {
   /// Virtual-time budget for the old module to divulge after the signal.
   /// 0 = wait forever in virtual time (only the scheduling-rounds budget
   /// bounds the wait — a module that never reaches a reconfiguration point
-  /// burns all of max_rounds before the script aborts). On expiry the
-  /// script aborts and rolls back: the clone is removed, pending control
-  /// traffic is cancelled, and the application keeps serving on the old
-  /// instance. The default is deliberately generous: 5 virtual seconds
-  /// dwarfs any drain/retransmit window the chaos harness produces.
+  /// burns all of max_rounds before the script aborts). On expiry, or when
+  /// the old module crashes first, the script aborts and rolls back: the
+  /// clones are removed, pending control traffic is cancelled, and the
+  /// application keeps serving on the old instance. The default is
+  /// deliberately generous: 5 virtual seconds dwarfs any drain/retransmit
+  /// window the chaos harness produces.
   net::SimTime divulge_timeout_us = 5'000'000;
   /// Virtual-time budget per attempt for the clone to finish restoring;
   /// 0 = wait forever in virtual time (rounds budget only), as above.
@@ -142,15 +167,21 @@ struct ReplaceOptions {
   /// Observes the divulged state buffer (the production capture path);
   /// surgeon::recover persists it as the module's checkpoint.
   std::function<void(const std::vector<std::uint8_t>&)> state_sink;
+  /// Wakes the old module during the divulge wait, at its start and then
+  /// every 2 virtual ms: a module blocked in mh_read only reaches its
+  /// reconfiguration point when traffic arrives (KvRouter::nudge of its
+  /// replica group, for instance).
+  std::function<void()> nudge{};
 };
 
 struct ReplaceReport {
   std::string old_instance;
-  std::string new_instance;
+  std::string new_instance;        // clones[0]: took the old one's place
+  std::vector<std::string> clones; // every clone the script installed
   net::SimTime requested_at = 0;   // when the signal was sent
   net::SimTime divulged_at = 0;    // when the old module divulged its state
   net::SimTime rebound_at = 0;     // when bindings were switched
-  net::SimTime restored_at = 0;    // when the clone finished restoring
+  net::SimTime restored_at = 0;    // when the last clone finished restoring
                                    // (0 when wait_for_restore was off)
   net::SimTime completed_at = 0;   // when the script finished
   std::size_t state_bytes = 0;
@@ -175,12 +206,108 @@ struct ReplaceReport {
   [[nodiscard]] net::SimTime blackout_us() const noexcept {
     return restored_at > divulged_at ? restored_at - divulged_at : 0;
   }
+  /// Redundancy-restoration time of a group rebuild: request to every
+  /// clone restored.
+  [[nodiscard]] net::SimTime restore_us() const noexcept {
+    return restored_at - requested_at;
+  }
 };
+
+// --- the engine's configurations --------------------------------------------
+
+/// What one row of kStepTable does.
+enum class Action : std::uint8_t {
+  kBegin, kObjCap, kRegister, kPrep, kSignal, kPassivate, kDivulge,
+  kDeliver, kRebind, kStart, kAwait, kDrain, kRemove, kRetire, kCommit,
+};
+
+/// How a clone takes its bindings at the rebind step.
+enum class Binding : std::uint8_t {
+  kInherit,  // the source's bindings and queued messages
+  kAdopt,    // `holder`'s bindings and queues; the holder retires at del
+  kCopy,     // copies of the source's bindings (add-only)
+  kNone,     // no bindings: an unbound replica
+};
+
+struct CloneSpec {
+  Binding bindings = Binding::kInherit;
+  std::string machine{};  // "" = the source's machine
+  std::string holder{};   // kAdopt: the instance whose place the clone takes
+  std::string name{};     // preassigned (a clone the WAL named); "" = fresh
+};
+
+struct Shape {
+  std::string script;             // names the run in ScriptError messages
+  std::vector<CloneSpec> clones;  // clones[0] takes the source's place
+  /// State supplied instead of divulged (a checkpoint, the WAL's divulged
+  /// record): the run starts past the watershed. Every later row probes
+  /// live state first, so it also finishes a run a dead coordinator left.
+  std::optional<std::vector<std::uint8_t>> state{};
+  /// Native clones install their state on their own tick: the add step
+  /// awaits the restore, and the source retires after it with no drain.
+  bool restores_in_place = false;
+};
+
+struct StepRow {
+  const char* step;   // journal intent and obs::Span name
+  Action action;
+  const char* label;  // the action in generated plan labels
+  bool per_clone;
+};
+
+inline constexpr std::array<StepRow, 16> kStepTable = {{
+    {kStepBegin, Action::kBegin, "begin", false},
+    {kStepObjCap, Action::kObjCap, "obj_cap", false},
+    {kStepCloneRegister, Action::kRegister, "register", true},
+    {kStepBindEditPrep, Action::kPrep, "prep", false},
+    {kStepObjstateMove, Action::kSignal, "signal", false},
+    {kStepObjstateMove, Action::kPassivate, "passivate", false},
+    {kStepObjstateMove, Action::kDivulge, "divulge", false},
+    {kStepObjstateMove, Action::kDeliver, "deliver", true},
+    {kStepRebind, Action::kRebind, "rebind", true},
+    {kStepAdd, Action::kStart, "start", true},
+    {kStepAdd, Action::kAwait, "restore", true},
+    {kStepDel, Action::kDrain, "drain", false},
+    {kStepDel, Action::kRemove, "remove", false},
+    {kStepDel, Action::kRetire, "retire", true},
+    {kStepRestore, Action::kAwait, "restore", true},
+    {kStepCommit, Action::kCommit, "commit", false},
+}};
+
+/// Does `row` run in `shape` (for clone `clone`, when it runs per clone)?
+/// The engine and verify's plan generator share this predicate.
+[[nodiscard]] bool row_applies(const StepRow& row, const Shape& shape,
+                               bool journaled, std::size_t clone);
+
+/// The shipped configurations; defaulted arguments only name machines.
+[[nodiscard]] Shape replace_shape(std::string machine = "");
+[[nodiscard]] Shape native_shape(std::string machine = "");
+[[nodiscard]] Shape replicate_shape(std::string replica_machine = "",
+                                    bool bind_replica = true);
+[[nodiscard]] Shape rebuild_shape(std::string dead_member = "",
+                                  std::string machine = "");
+
+/// Runs `shape` over VM modules cloned from `source`'s image.
+ReplaceReport run_transaction(app::Runtime& rt, const std::string& source,
+                              const Shape& shape,
+                              const ReplaceOptions& options);
+
+// --- the scripts -------------------------------------------------------------
 
 /// The parameterized replacement script. Works on any module that was
 /// prepared for reconfiguration. Returns a report with the new instance
 /// name and the timing/size measurements the benchmarks consume.
 ReplaceReport replace_module(app::Runtime& rt, const std::string& instance,
+                             const ReplaceOptions& options = {});
+
+/// The same script for the native (C++) modules of the observability
+/// planes, profile::Collector and slo::Monitor: they divulge their windows
+/// as an abstract state buffer and install it in a clone, like a prepared
+/// VM module. `options.machine` places the clone, and `module` is swapped
+/// for it on success. A native clone installs its state on its own tick, so
+/// the old instance retires only once the clone serves (no drain window).
+template <typename Module>
+ReplaceReport replace_module(app::Runtime& rt, std::unique_ptr<Module>& module,
                              const ReplaceOptions& options = {});
 
 /// Process migration: replacement with the same program on another machine
@@ -193,38 +320,13 @@ ReplaceReport update_module(
     app::Runtime& rt, const std::string& instance,
     std::shared_ptr<const vm::CompiledProgram> program);
 
-struct ReplicateReport {
-  ReplaceReport primary;          // the in-place clone that continues
-  std::string replica_instance;   // the additional clone
-};
-
 /// Replication (the SURGEON activity of ref [5]): divulge once, install the
 /// same abstract state in TWO clones -- one replacing the original in its
-/// bindings, one fresh replica on another machine. The replica gets copies
-/// of the original's bindings unless `bind_replica` is false.
-ReplicateReport replicate_module(app::Runtime& rt, const std::string& instance,
-                                 const std::string& replica_machine,
-                                 bool bind_replica = true);
-
-// --- script building blocks, exposed for surgeon::recover -----------------
-
-/// mh_edit_bind command batch repointing every binding of `from` to `to`:
-/// del/add per bound peer plus queue capture and queue removal for each
-/// interface (Figure 5's loop). Recovery re-derives the same batch when it
-/// rolls a logged replacement forward.
-bus::BindEditBatch make_rebind_batch(bus::Bus& bus, const std::string& from,
-                                     const std::string& to);
-
-/// Late queue sweep: moves messages that landed in `from`'s unbound queues
-/// over to `to`; returns how many moved. No-op when `from` is gone.
-std::size_t sweep_queues(bus::Bus& bus, const std::string& from,
-                         const std::string& to);
-
-/// Copies every binding of `from` onto `to` without disturbing `from`
-/// (add-only, no queue capture): the replica half of replicate_module, and
-/// the way surgeon::replicate attaches a fresh group member to the router.
-/// Returns the number of bindings added.
-std::size_t copy_bindings(bus::Bus& bus, const std::string& from,
-                          const std::string& to);
+/// bindings (new_instance), one fresh replica on another machine
+/// (clones[1]). The replica gets copies of the original's bindings unless
+/// `bind_replica` is false.
+ReplaceReport replicate_module(app::Runtime& rt, const std::string& instance,
+                               const std::string& replica_machine,
+                               bool bind_replica = true);
 
 }  // namespace surgeon::reconfig

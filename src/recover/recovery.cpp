@@ -1,6 +1,7 @@
 #include "recover/recovery.hpp"
 
 #include "obs/metrics.hpp"
+#include "reconfig/scripts.hpp"
 #include "trace/recorder.hpp"
 
 namespace surgeon::recover {
@@ -91,73 +92,28 @@ RecoveryReport recover_coordinator(app::Runtime& rt, Wal& wal,
     return report;
   }
 
-  // --- roll-forward: finish the script from wherever it stopped. Every
-  // action probes live state first, so the sequence is idempotent.
-  std::vector<std::uint8_t> state = open->state.has_value()
-                                        ? *open->state
-                                        : bus.take_divulged_state(old_name);
-
-  // 1. The clone registration (normally survives the crash; re-created
-  //    from the old module's image if the crash preceded it).
-  if (!bus.has_module(new_name)) {
-    const app::ModuleImage* image = rt.image_of(old_name);
-    if (image == nullptr) {
-      throw reconfig::ScriptError("recover: no image for '" + old_name +
-                                  "', cannot rebuild clone '" + new_name +
-                                  "'");
-    }
-    const std::string target = !open->machine.empty()
-                                   ? open->machine
-                                   : bus.module_info(old_name).machine;
-    rt.install_module(new_name, *image, target, "clone");
-  }
-
-  // 2. A clone that died in the meantime (e.g. killed by the same fault
-  //    burst that took the coordinator) is restarted from its image before
-  //    the state probes below, so they see a fresh VM and re-deliver.
-  if (rt.module_crashed(new_name)) {
+  // --- roll-forward: re-enter the engine after the watershed. A clone
+  // that died in the meantime (e.g. killed by the same fault burst that
+  // took the coordinator) is restarted from its image first, so the
+  // engine's state probe sees a fresh VM and re-delivers.
+  if (bus.has_module(new_name) && rt.module_crashed(new_name)) {
     rt.restart_module(new_name);
   }
+  // The run keeps the names the begin record logged. Its state is the
+  // WAL's divulged record, or else the buffer the old module posted to its
+  // mailbox just before the coordinator died.
+  reconfig::ReplaceOptions resume;
+  resume.max_rounds = options.max_rounds;
+  resume.drain_us = options.drain_us;
+  resume.wait_for_restore = false;
+  const reconfig::Shape shape{
+      .script = "recover_coordinator",
+      .clones = {reconfig::CloneSpec{.machine = open->machine,
+                                     .name = new_name}},
+      .state = open->state};
+  (void)reconfig::run_transaction(rt, old_name, shape, resume);
 
-  // 3. The state buffer, unless the clone already has it (decoded it, has
-  //    it mailboxed, or the dead coordinator's delivery is still in
-  //    flight -- the settle window above lets that land).
-  vm::Machine* clone_vm = rt.machine_of(new_name);
-  const bool clone_has_state =
-      (clone_vm != nullptr && clone_vm->decode_count() > 0) ||
-      bus.has_incoming_state(new_name);
-  if (!clone_has_state) {
-    bus.cancel_pending_control(new_name);
-    const std::string from_machine = bus.has_module(old_name)
-                                         ? bus.module_info(old_name).machine
-                                         : bus.module_info(new_name).machine;
-    bus.deliver_state(from_machine, new_name, state);
-  }
-
-  // 4. Rebind. When the crashed script already moved the bindings this
-  //    batch degenerates to queue capture/removal, which just sweeps any
-  //    straggler messages across.
-  if (bus.has_module(old_name)) {
-    bus.rebind(reconfig::make_rebind_batch(bus, old_name, new_name));
-  }
-
-  // 5. Start the clone if the crash preceded mh_chg_obj "add".
-  if (rt.machine_of(new_name) == nullptr) {
-    rt.start_module(new_name);
-  }
-
-  // 6. Retire the old instance (its process already left its main loop
-  //    when it divulged; only the registration and queues remain).
-  if (bus.has_module(old_name)) {
-    rt.stop_module(old_name);
-    if (options.drain_us > 0) {
-      rt.run_for(options.drain_us, options.max_rounds);
-      (void)reconfig::sweep_queues(bus, old_name, new_name);
-    }
-    rt.remove_module(old_name);
-  }
-
-  // 7. Wait for the clone to restore, then close the transaction.
+  // Wait for the clone to restore, then close the transaction.
   if (options.restore_timeout_us > 0) {
     net::SimTime deadline = rt.now() + options.restore_timeout_us;
     (void)rt.run_until(

@@ -1,6 +1,7 @@
 #include "recover/supervisor.hpp"
 
 #include "obs/metrics.hpp"
+#include "reconfig/scripts.hpp"
 #include "trace/recorder.hpp"
 
 namespace surgeon::recover {
@@ -190,30 +191,25 @@ std::string Supervisor::restore_from_checkpoint(const std::string& instance) {
   }
   bus::Bus& bus = rt_->bus();
   const std::string crashed = w->current;  // copied: w->current changes below
-  const app::ModuleImage* image = rt_->image_of(crashed);
-  if (image == nullptr) {
-    throw reconfig::ScriptError("restore_from_checkpoint: no image for '" +
-                                crashed + "'");
-  }
   ControlScope scope(in_control_);
-  const bus::ModuleInfo info = bus.module_info(crashed);
-  const std::string target = w->spare.empty() ? info.machine : w->spare;
-  const std::string heir = rt_->fresh_instance_name(crashed);
-  // Same shape as the replacement script's retry chain: the dead instance
-  // becomes a binding/queue holder for the heir, which decodes the
-  // persisted checkpoint instead of a freshly divulged buffer. The queue
-  // capture hands the heir the predecessor's reliable streams, so senders'
-  // retransmissions converge on it.
+  const std::string target =
+      w->spare.empty() ? bus.module_info(crashed).machine : w->spare;
+  // The heir inherits the dead instance's bindings and queued traffic and
+  // decodes the persisted checkpoint instead of a freshly divulged buffer.
+  // The queue capture hands it the predecessor's reliable streams, so
+  // senders' retransmissions converge on it. A crashed instance's pending
+  // control traffic is void.
   bus.cancel_pending_control(crashed);
-  rt_->install_module(heir, *image, target, "clone");
-  bus.deliver_state(info.machine, heir, *ckpt);
-  bus.rebind(reconfig::make_rebind_batch(bus, crashed, heir));
-  rt_->start_module(heir);
-  if (options_.drain_us > 0) {
-    rt_->run_for(options_.drain_us, options_.max_rounds);
-    (void)reconfig::sweep_queues(bus, crashed, heir);
-  }
-  rt_->remove_module(crashed);
+  reconfig::ReplaceOptions opts;
+  opts.max_rounds = options_.max_rounds;
+  opts.drain_us = options_.drain_us;
+  opts.wait_for_restore = false;
+  const reconfig::Shape shape{
+      .script = "restore_from_checkpoint",
+      .clones = {reconfig::CloneSpec{.machine = target}},
+      .state = *ckpt};
+  const std::string heir =
+      reconfig::run_transaction(*rt_, crashed, shape, opts).new_instance;
   detector_.forget(crashed);
   w->current = heir;
   ++restores_;

@@ -168,8 +168,8 @@ bool GroupManager::rebuild_machine(const std::string& machine) {
         all_ok = false;
         break;
       }
-      RebuildGroupOptions opts;
-      opts.target_machine = target;
+      reconfig::ReplaceOptions opts;
+      opts.machine = target;
       opts.journal = options_.journal;
       opts.crash_hook = options_.crash_hook;
       opts.drain_us = options_.drain_us;
@@ -177,7 +177,8 @@ bool GroupManager::rebuild_machine(const std::string& machine) {
       opts.restore_timeout_us = options_.restore_timeout_us;
       opts.nudge = [&router, g] { router.nudge(g); };
       try {
-        RebuildGroupReport report = rebuild_group(*rt_, survivor, dead, opts);
+        reconfig::ReplaceReport report =
+            rebuild_group(*rt_, survivor, dead, opts);
         detector_.forget_module(survivor);
         detector_.forget_module(dead);
         ++stats_.groups_rebuilt;
@@ -232,20 +233,12 @@ std::size_t GroupManager::rebalance(const std::string& new_machine) {
       }
       if (target.empty()) continue;
       // A member blocked in mh_read only reaches its reconfiguration point
-      // when traffic arrives; keep nudging the group until the move's
-      // divulge wait completes.
-      auto nudging = std::make_shared<bool>(true);
-      auto pump = std::make_shared<std::function<void()>>();
-      std::weak_ptr<std::function<void()>> weak_pump = pump;
-      *pump = [this, &router, g, nudging, weak_pump] {
-        auto self = weak_pump.lock();  // chain dies with the move below
-        if (self == nullptr || !*nudging) return;
-        router.nudge(g);
-        rt_->simulator().schedule_after(2'000, *self);
-      };
-      rt_->simulator().schedule_after(2'000, *pump);
+      // when traffic arrives; the divulge wait keeps nudging its group.
+      reconfig::ReplaceOptions opts;
+      opts.machine = target;
+      opts.nudge = [&router, g] { router.nudge(g); };
       try {
-        (void)reconfig::move_module(*rt_, m, target);
+        (void)reconfig::replace_module(*rt_, m, opts);
         detector_.forget_module(m);
         occupied.erase(host);
         occupied.insert(target);
@@ -254,7 +247,6 @@ std::size_t GroupManager::rebalance(const std::string& new_machine) {
       } catch (const reconfig::ScriptError&) {
         ++stats_.rebuild_failures;
       }
-      *nudging = false;
     }
   }
   publish_roles();

@@ -79,7 +79,7 @@ class GroupManager {
     return detector_;
   }
   [[nodiscard]] const ManagerStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const std::vector<RebuildGroupReport>& rebuilds()
+  [[nodiscard]] const std::vector<reconfig::ReplaceReport>& rebuilds()
       const noexcept {
     return rebuilds_;
   }
@@ -101,7 +101,7 @@ class GroupManager {
   ManagerOptions options_;
   recover::MachineDetector detector_;
   ManagerStats stats_;
-  std::vector<RebuildGroupReport> rebuilds_;
+  std::vector<reconfig::ReplaceReport> rebuilds_;
   std::set<std::string> lost_groups_;  // counted once, skipped thereafter
   bool running_ = false;
   bool in_control_ = false;

@@ -1,79 +1,34 @@
 // Group rebuild: restore a replica group's redundancy after machine loss.
 //
-// The script composes the two production recipes this repo already trusts:
-// replicate_module's divulge-once/deliver-twice state fan-out, and the
-// supervisor's heir adoption (a fresh clone takes over a dead instance's
-// bindings and queued traffic via the same atomic rebind the Figure 5
-// script uses). One surviving member is the pull source: it divulges at
-// its reconfiguration point; the state installs into BOTH a continuation
-// of the survivor (which inherits the survivor's bindings) and a brand-new
-// member on the target machine (which adopts the DEAD member's bindings
-// and queues). The service keeps serving throughout -- only the survivor
-// pauses, for the divulge, and the router's retry covers the gap.
-//
-// Journal boundaries match the Figure 5 replacement exactly (the verify
-// plan `group_rebuild` pins the sequence), with the same write-ahead
-// discipline: intent before action, divulged as the roll-forward
-// watershed, abort only before it.
+// One configuration of the Figure 5 transaction engine
+// (reconfig/transaction.hpp) with two clones. A surviving member is the pull
+// source: it divulges once at its reconfiguration point, and the buffer
+// installs into BOTH a continuation of the survivor (which inherits the
+// survivor's bindings) and a new member on `options.machine` (which adopts
+// the DEAD member's bindings and queued traffic, then retires the corpse).
+// The service keeps serving throughout -- only the survivor pauses, for the
+// divulge, and the router's retry covers the gap. The engine supplies the
+// journal boundaries, the divulge timeout with rollback, and the report.
 #pragma once
 
-#include <functional>
 #include <string>
 
-#include "app/runtime.hpp"
 #include "reconfig/scripts.hpp"
 
 namespace surgeon::replicate {
 
-struct RebuildGroupOptions {
-  /// Machine that receives the new member.
-  std::string target_machine;
-  /// Scheduling budget for each wait inside the script.
-  std::uint64_t max_rounds = 1'000'000;
-  /// Divulge wait; the nudge callback fires once per chunk of this wait so
-  /// a survivor blocked in mh_read keeps getting woken toward its
-  /// reconfiguration point.
-  net::SimTime divulge_timeout_us = 5'000'000;
-  net::SimTime nudge_every_us = 2'000;
-  /// Restore wait for each of the two clones.
-  net::SimTime restore_timeout_us = 10'000'000;
-  /// Drain window before the survivor's corpse is swept and removed.
-  net::SimTime drain_us = 10'000;
-  /// Wakes the survivor (e.g. KvRouter::nudge of its group). Optional.
-  std::function<void()> nudge;
-  /// Write-ahead journal; optional.
-  reconfig::ScriptJournal* journal = nullptr;
-  /// Fires at every journal boundary (systematic exploration's crash
-  /// injection hook, same contract as ReplaceOptions::crash_hook).
-  std::function<void(const char*)> crash_hook;
-};
-
-struct RebuildGroupReport {
-  std::string survivor;               // the pull source (now retired)
-  std::string survivor_continuation;  // inherits the survivor's role
-  std::string dead_member;            // the corpse (now removed)
-  std::string new_member;             // adopted the corpse's role
-  net::SimTime requested_at = 0;
-  net::SimTime divulged_at = 0;
-  net::SimTime restored_at = 0;   // both clones restored
-  std::size_t state_bytes = 0;
-  std::size_t queued_messages_moved = 0;
-
-  /// Redundancy-restoration time: request to both-members-restored.
-  [[nodiscard]] net::SimTime restore_us() const {
-    return restored_at - requested_at;
-  }
-};
-
-/// Rebuilds one group member: pulls state from `survivor`, installs it in a
-/// survivor continuation (in place) and a new member on `target_machine`
-/// which adopts `dead_member`'s bindings and queues; removes both the
-/// survivor (retired) and the dead member (corpse). Throws ScriptError --
-/// after rolling back the half-born clones -- if the survivor never
-/// divulges or a clone fails to restore; the caller (GroupManager) retries
-/// from another survivor.
-RebuildGroupReport rebuild_group(app::Runtime& rt, const std::string& survivor,
-                                 const std::string& dead_member,
-                                 const RebuildGroupOptions& options);
+/// Rebuilds one group member from `survivor`. `options.nudge` keeps a
+/// survivor blocked in mh_read waking toward its reconfiguration point.
+/// Throws ScriptError -- after removing the half-born clones -- if the
+/// survivor never divulges or a clone fails to restore; the caller
+/// (GroupManager) retries from another survivor. The report's clones are
+/// {continuation, new member}.
+inline reconfig::ReplaceReport rebuild_group(
+    app::Runtime& rt, const std::string& survivor,
+    const std::string& dead_member, const reconfig::ReplaceOptions& options) {
+  return reconfig::run_transaction(
+      rt, survivor, reconfig::rebuild_shape(dead_member, options.machine),
+      options);
+}
 
 }  // namespace surgeon::replicate

@@ -502,106 +502,4 @@ void Monitor::install_state(const ser::StateBuffer& state) {
   activate();
 }
 
-// --- replace_monitor ---------------------------------------------------------
-
-ReplaceMonitorReport replace_monitor(bus::Bus& bus,
-                                     std::unique_ptr<Monitor>& monitor,
-                                     const std::string& machine,
-                                     const std::function<bool()>& pump,
-                                     std::uint64_t max_rounds) {
-  if (monitor == nullptr) {
-    throw BusError("replace_monitor: no monitor attached");
-  }
-  obs::MetricsRegistry* reg = bus.metrics();
-  net::Simulator& sim = bus.simulator();
-  ReplaceMonitorReport report;
-  report.old_instance = monitor->module_name();
-  report.requested_at = sim.now();
-
-  // obj_cap: the current specification of the running instance.
-  bus::ModuleInfo info;
-  {
-    obs::Span span(reg, "obj_cap", report.old_instance);
-    info = bus.module_info(report.old_instance);
-  }
-
-  // clone register: a passive twin under a fresh name, possibly elsewhere.
-  std::unique_ptr<Monitor> clone;
-  {
-    obs::Span span(reg, "clone_register", report.old_instance);
-    std::string name;
-    for (int k = 2;; ++k) {
-      name = report.old_instance + "#" + std::to_string(k);
-      if (!bus.has_module(name)) break;
-    }
-    report.new_instance = name;
-    clone = std::make_unique<Monitor>(bus, name, machine, monitor->options(),
-                                      "clone");
-  }
-
-  // bind_edit_prep: repoint every peer binding and capture queued traffic.
-  bus::BindEditBatch batch;
-  {
-    obs::Span span(reg, "bind_edit_prep", report.old_instance);
-    for (const std::string& iface :
-         bus.interface_names(report.old_instance)) {
-      bus::BindingEnd old_end{report.old_instance, iface};
-      bus::BindingEnd new_end{report.new_instance, iface};
-      for (const bus::BindingEnd& peer : bus.bound_peers(old_end)) {
-        batch.add(bus::BindEdit{bus::BindEdit::Op::kDel, old_end, peer});
-        batch.add(bus::BindEdit{bus::BindEdit::Op::kAdd, new_end, peer});
-      }
-      batch.add(
-          bus::BindEdit{bus::BindEdit::Op::kCaptureQueue, old_end, new_end});
-    }
-  }
-
-  // objstate_move: signal, await the divulged engine state, ship it over.
-  {
-    obs::Span span(reg, "objstate_move", report.old_instance);
-    bus.signal_reconfig(report.old_instance);
-    std::uint64_t rounds = 0;
-    while (!bus.has_divulged_state(report.old_instance)) {
-      if (++rounds > max_rounds) {
-        throw BusError("replace_monitor: " + report.old_instance +
-                       " never divulged its state");
-      }
-      (void)pump();
-    }
-    report.divulged_at = sim.now();
-    std::vector<std::uint8_t> bytes =
-        bus.take_divulged_state(report.old_instance);
-    report.state_bytes = bytes.size();
-    bus.deliver_state(info.machine, report.new_instance, std::move(bytes));
-  }
-
-  // rebind: the batch lands atomically; streams and queues migrate.
-  {
-    obs::Span span(reg, "rebind", report.old_instance);
-    bus.rebind(batch);
-  }
-
-  // add: the clone activates once the state buffer is installed.
-  {
-    obs::Span span(reg, "add", report.old_instance);
-    std::uint64_t rounds = 0;
-    while (!clone->active()) {
-      if (++rounds > max_rounds) {
-        throw BusError("replace_monitor: " + report.new_instance +
-                       " never restored");
-      }
-      (void)pump();
-    }
-  }
-  report.restored_at = sim.now();
-
-  // del: retire the passivated instance; the clone is the monitor now.
-  {
-    obs::Span span(reg, "del", report.old_instance);
-    monitor->retire();
-  }
-  monitor = std::move(clone);
-  return report;
-}
-
 }  // namespace surgeon::slo

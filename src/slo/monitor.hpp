@@ -15,10 +15,11 @@
 //   Monitor   drains "records" into the slo::Engine, publishes alert
 //             events as ordinary bus messages on its "alerts" interface
 //             AND as surgeon_slo_* metrics through obs, and answers the
-//             mh_slo query. Replaceable by the Figure-5 script below: the
-//             engine state (windows, lifetime counters, the alert id
-//             sequence, blackout windows) moves as an abstract state
-//             buffer, so a replacement neither loses nor re-fires alerts.
+//             mh_slo query. Replaceable by the Figure-5 script
+//             (reconfig::replace_module): the engine state (windows,
+//             lifetime counters, the alert id sequence, blackout windows)
+//             moves as an abstract state buffer, so a replacement neither
+//             loses nor re-fires alerts.
 //
 // Record-stream wire format, one message per batch on records -> ingest:
 //   [service, count, { request, started_at, completed_at, latency_us,
@@ -227,28 +228,5 @@ class Monitor {
   std::uint64_t slo_token_ = 0;
   std::shared_ptr<int> alive_ = std::make_shared<int>(0);
 };
-
-// --- Figure-5 replacement of the monitor -------------------------------------
-
-struct ReplaceMonitorReport {
-  std::string old_instance;
-  std::string new_instance;
-  net::SimTime requested_at = 0;
-  net::SimTime divulged_at = 0;
-  net::SimTime restored_at = 0;
-  std::size_t state_bytes = 0;
-};
-
-/// Replaces the monitor with a clone (optionally on another machine),
-/// following the same Figure-5 steps (and obs::Span names) as
-/// profile::replace_collector. Queued record batches migrate via queue
-/// capture; the alert id sequence rides the state buffer, so subscribers
-/// see every alert exactly once across the swap. `pump` advances the world
-/// one scheduling round; `monitor` is swapped for the clone on success.
-ReplaceMonitorReport replace_monitor(bus::Bus& bus,
-                                     std::unique_ptr<Monitor>& monitor,
-                                     const std::string& machine,
-                                     const std::function<bool()>& pump,
-                                     std::uint64_t max_rounds = 1'000'000);
 
 }  // namespace surgeon::slo

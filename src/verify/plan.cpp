@@ -1,6 +1,9 @@
 #include "verify/plan.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
 
 #include "reconfig/scripts.hpp"
 
@@ -341,294 +344,238 @@ std::vector<std::string> Plan::journal_boundaries() const {
 
 namespace {
 
-/// The Figure 5 happy path, shared by replace/move/update (they are the
-/// same script parameterized over target machine and program).
-std::vector<Step> figure5_steps() {
-  using reconfig::kStepAdd;
-  using reconfig::kStepBindEditPrep;
-  using reconfig::kStepCloneRegister;
-  using reconfig::kStepCommit;
-  using reconfig::kStepDel;
-  using reconfig::kStepObjCap;
-  using reconfig::kStepObjstateMove;
-  using reconfig::kStepRebind;
-  return {
-      {Prim::kBeginTxn, "begin", "begin"},
-      {Prim::kObjCap, "obj_cap", kStepObjCap},
-      {Prim::kRegisterClone, "clone_register", kStepCloneRegister},
-      {Prim::kPrepBindings, "bind_edit_prep", kStepBindEditPrep},
-      {Prim::kSignal, "objstate_move.signal", kStepObjstateMove},
-      {Prim::kPassivate, "objstate_move.passivate", ""},
-      {Prim::kDivulge, "objstate_move.divulge", ""},
-      {Prim::kDeliverState, "objstate_move.deliver", ""},
-      {Prim::kRebind, "rebind", kStepRebind},
-      {Prim::kStartClone, "add", kStepAdd},
-      {Prim::kSweepQueues, "del.drain", kStepDel},
-      {Prim::kRemoveOld, "del.remove", ""},
-      {Prim::kAwaitRestore, "restore", ""},
-      {Prim::kCommit, "commit", kStepCommit},
-  };
+using reconfig::Action;
+using reconfig::Binding;
+using reconfig::Shape;
+using reconfig::StepRow;
+
+/// The model's primitive for one engine row; a second clone plays the
+/// abstract state's replica.
+Prim prim_of(Action action, bool replica, Binding bindings) {
+  switch (action) {
+    case Action::kBegin: return Prim::kBeginTxn;
+    case Action::kObjCap: return Prim::kObjCap;
+    case Action::kRegister:
+      return replica ? Prim::kRegisterReplica : Prim::kRegisterClone;
+    case Action::kPrep: return Prim::kPrepBindings;
+    case Action::kSignal: return Prim::kSignal;
+    case Action::kPassivate: return Prim::kPassivate;
+    case Action::kDivulge: return Prim::kDivulge;
+    case Action::kDeliver:
+      return replica ? Prim::kDeliverStateReplica : Prim::kDeliverState;
+    case Action::kRebind:
+      return bindings == Binding::kAdopt  ? Prim::kAdoptDeadBindings
+             : bindings == Binding::kCopy ? Prim::kBindReplica
+                                          : Prim::kRebind;
+    case Action::kStart:
+      return replica ? Prim::kStartReplica : Prim::kStartClone;
+    case Action::kAwait:
+      return replica ? Prim::kAwaitRestoreReplica : Prim::kAwaitRestore;
+    case Action::kDrain: return Prim::kSweepQueues;
+    case Action::kRemove: return Prim::kRemoveOld;
+    case Action::kRetire: return Prim::kRetireDead;
+    case Action::kCommit: break;
+  }
+  return Prim::kCommit;
+}
+
+/// `shape`'s rows of the engine's step table, in run order. A row reads
+/// "step", or "step.action" when its step runs several table rows; a second
+/// clone's rows read "heir.action" when it adopts a dead member and
+/// "replica.action" otherwise, and a `prefix` replaces the step. The first
+/// row of each journaled step carries the intent written before it.
+std::vector<Step> engine_steps(const Shape& shape, bool journaled,
+                               const std::string& prefix = "") {
+  std::vector<std::pair<const StepRow*, std::size_t>> rows;
+  for (const StepRow& row : reconfig::kStepTable) {
+    for (std::size_t i = 0; i < (row.per_clone ? shape.clones.size() : 1);
+         ++i) {
+      if (reconfig::row_applies(row, shape, journaled, i)) {
+        rows.emplace_back(&row, i);
+      }
+    }
+  }
+  std::vector<Step> steps;
+  const char* step = nullptr;
+  for (const auto& [row, i] : rows) {
+    const bool alone = std::all_of(rows.begin(), rows.end(), [&](auto& r) {
+      return r.first == row || r.first->step != row->step;
+    });
+    const char* role =
+        shape.clones[i].bindings == Binding::kAdopt ? "heir." : "replica.";
+    const std::string label =
+        !prefix.empty() ? prefix + row->label
+        : i != 0        ? role + std::string(row->label)
+        : alone         ? std::string(row->step)
+                        : std::string(row->step) + "." + row->label;
+    const bool intent = journaled && row->step != step &&
+                        std::string_view(row->step) != reconfig::kStepRestore;
+    step = row->step;
+    steps.push_back({prim_of(row->action, i != 0, shape.clones[i].bindings),
+                     label, intent ? row->step : ""});
+  }
+  return steps;
+}
+
+/// `steps` with `rows` inserted before the first step of `prim`; `cut`
+/// drops that step and everything after it (a crash or abort point).
+std::vector<Step> splice(std::vector<Step> steps, Prim prim,
+                         const std::vector<Step>& rows, bool cut) {
+  auto at = std::find_if(steps.begin(), steps.end(),
+                         [prim](const Step& s) { return s.prim == prim; });
+  if (cut) at = steps.erase(at, steps.end());
+  steps.insert(at, rows.begin(), rows.end());
+  return steps;
+}
+
+/// `plan` with its first `moved` step run just before its first `before`
+/// step instead (the seeded broken plans).
+Plan reordered(Plan plan, Prim moved, Prim before) {
+  auto at = std::find_if(plan.steps.begin(), plan.steps.end(),
+                         [moved](const Step& s) { return s.prim == moved; });
+  const Step step = *at;
+  plan.steps.erase(at);
+  plan.steps = splice(std::move(plan.steps), before, {step}, false);
+  return plan;
+}
+
+Plan engine_plan(std::string name, std::string description,
+                 const Shape& shape, bool journaled = true) {
+  return Plan{std::move(name), std::move(description), journaled,
+              Outcome::kCommitted, engine_steps(shape, journaled)};
+}
+
+/// recover_coordinator's roll-forward after a crash at the add boundary: the
+/// successor re-enters the engine with the WAL's state record. Its rows
+/// before the delivery only re-read what the dead coordinator set up (each
+/// probes live state first), and the rebind it already applied degenerates
+/// to a sweep of straggler messages.
+std::vector<Step> rollforward_steps() {
+  Shape resumed = reconfig::replace_shape();
+  resumed.state.emplace();
+  std::vector<Step> steps = engine_steps(resumed, false, "recover.");
+  steps.erase(steps.begin(),
+              std::find_if(steps.begin(), steps.end(), [](const Step& s) {
+                return s.prim == Prim::kDeliverState;
+              }));
+  for (Step& step : steps) {
+    if (step.prim == Prim::kRebind) step.prim = Prim::kSweepQueues;
+  }
+  steps.insert(steps.begin(), {{Prim::kCoordinatorCrash, "crash", ""},
+                               {Prim::kRestartFromWal, "recover.scan", ""}});
+  return steps;
 }
 
 }  // namespace
 
-Plan plan_replace() {
-  return Plan{"replace",
-              "Figure 5 replacement: divulge, move state, rebind, swap "
-              "instances (reconfig::replace_module)",
-              /*journaled=*/true, Outcome::kCommitted, figure5_steps()};
-}
-
-Plan plan_move() {
-  Plan p = plan_replace();
-  p.name = "move";
-  p.description =
-      "process migration: the Figure 5 script with the same program on "
-      "another machine (reconfig::move_module)";
-  return p;
-}
-
-Plan plan_update() {
-  Plan p = plan_replace();
-  p.name = "update";
-  p.description =
-      "software maintenance: the Figure 5 script with a new program "
-      "version in place (reconfig::update_module)";
-  return p;
-}
-
-Plan plan_abort_divulge_timeout() {
-  Plan p;
-  p.name = "abort_divulge_timeout";
-  p.description =
-      "divulge timeout: the module never complied, everything rolls back "
-      "and the old instance keeps serving (reconfig::replace_module abort "
-      "path)";
-  p.journaled = true;
-  p.outcome = Outcome::kAborted;
-  p.steps = {
-      {Prim::kBeginTxn, "begin", "begin"},
-      {Prim::kObjCap, "obj_cap", reconfig::kStepObjCap},
-      {Prim::kRegisterClone, "clone_register", reconfig::kStepCloneRegister},
-      {Prim::kPrepBindings, "bind_edit_prep", reconfig::kStepBindEditPrep},
-      {Prim::kSignal, "objstate_move.signal", reconfig::kStepObjstateMove},
-      {Prim::kAbortRollback, "abort", "abort"},
+std::vector<Plan> shipped_plans() {
+  const Plan replace = engine_plan(
+      "replace",
+      "Figure 5 replacement: divulge, move state, rebind, swap instances "
+      "(reconfig::replace_module)",
+      reconfig::replace_shape());
+  const auto derived = [](const char* name, const char* description,
+                          Outcome outcome, std::vector<Step> steps) {
+    return Plan{name, description, /*journaled=*/true, outcome,
+                std::move(steps)};
   };
-  return p;
-}
-
-Plan plan_retry_reinstall() {
-  Plan p = plan_replace();
-  p.name = "retry_reinstall";
-  p.description =
-      "post-divulge retry chain: the clone crashes while restoring; a "
-      "fresh clone adopts bindings, queues, and the saved state "
-      "(reconfig::replace_module, max_attempts > 1)";
-  // The crash lands during the first await; the retry replaces it.
-  p.steps.pop_back();  // commit
-  p.steps.pop_back();  // the successful await_restore
-  p.steps.push_back({Prim::kCloneCrashed, "clone_crash", ""});
-  p.steps.push_back({Prim::kRetrySwap, "retry_swap", ""});
-  p.steps.push_back({Prim::kAwaitRestore, "restore", ""});
-  p.steps.push_back({Prim::kCommit, "commit", reconfig::kStepCommit});
-  return p;
-}
-
-Plan plan_recover_rollback() {
-  Plan p;
-  p.name = "recover_rollback";
-  p.description =
-      "coordinator dies before the watershed; the successor scans the WAL, "
-      "removes the clone, and the old instance keeps serving "
-      "(recover::recover_coordinator)";
-  p.journaled = true;
-  p.outcome = Outcome::kAborted;
-  p.steps = {
-      {Prim::kBeginTxn, "begin", "begin"},
-      {Prim::kObjCap, "obj_cap", reconfig::kStepObjCap},
-      {Prim::kRegisterClone, "clone_register", reconfig::kStepCloneRegister},
-      {Prim::kPrepBindings, "bind_edit_prep", reconfig::kStepBindEditPrep},
-      {Prim::kCoordinatorCrash, "crash", ""},
-      {Prim::kRestartFromWal, "recover.scan", ""},
-      {Prim::kAbortRollback, "recover.rollback", "abort"},
-  };
-  return p;
-}
-
-Plan plan_recover_rollforward() {
-  Plan p;
-  p.name = "recover_rollforward";
-  p.description =
-      "coordinator dies after the watershed; the successor finishes the "
-      "script from the WAL: re-deliver, rebind remnants, start, retire "
-      "(recover::recover_coordinator)";
-  p.journaled = true;
-  p.outcome = Outcome::kCommitted;
-  p.steps = {
-      {Prim::kBeginTxn, "begin", "begin"},
-      {Prim::kObjCap, "obj_cap", reconfig::kStepObjCap},
-      {Prim::kRegisterClone, "clone_register", reconfig::kStepCloneRegister},
-      {Prim::kPrepBindings, "bind_edit_prep", reconfig::kStepBindEditPrep},
-      {Prim::kSignal, "objstate_move.signal", reconfig::kStepObjstateMove},
-      {Prim::kPassivate, "objstate_move.passivate", ""},
-      {Prim::kDivulge, "objstate_move.divulge", ""},
-      {Prim::kDeliverState, "objstate_move.deliver", ""},
-      {Prim::kRebind, "rebind", reconfig::kStepRebind},
-      {Prim::kCoordinatorCrash, "crash", ""},
-      {Prim::kRestartFromWal, "recover.scan", ""},
-      {Prim::kDeliverState, "recover.redeliver", ""},
-      {Prim::kSweepQueues, "recover.sweep", ""},
-      {Prim::kStartClone, "recover.add", ""},
-      {Prim::kRemoveOld, "recover.del", ""},
-      {Prim::kAwaitRestore, "recover.restore", ""},
-      {Prim::kCommit, "recover.commit", reconfig::kStepCommit},
-  };
-  return p;
-}
-
-Plan plan_replicate() {
-  Plan p;
-  p.name = "replicate";
-  p.description =
-      "replication: divulge once, install the state in a replacing clone "
-      "AND a fresh replica (reconfig::replicate_module, unjournaled)";
-  p.journaled = false;
-  p.outcome = Outcome::kCommitted;
-  p.steps = {
-      {Prim::kObjCap, "obj_cap", ""},
-      {Prim::kRegisterClone, "clone_register", ""},
-      {Prim::kRegisterReplica, "replica_register", ""},
-      {Prim::kSignal, "objstate_move.signal", ""},
-      {Prim::kPassivate, "objstate_move.passivate", ""},
-      {Prim::kDivulge, "objstate_move.divulge", ""},
-      {Prim::kDeliverState, "deliver_primary", ""},
-      {Prim::kDeliverStateReplica, "deliver_replica", ""},
-      {Prim::kRebind, "rebind", ""},
-      {Prim::kBindReplica, "bind_replica", ""},
-      {Prim::kStartClone, "add_primary", ""},
-      {Prim::kStartReplica, "add_replica", ""},
-      {Prim::kSweepQueues, "sweep", ""},
-      {Prim::kRemoveOld, "del", ""},
-      {Prim::kAwaitRestore, "restore_primary", ""},
-      {Prim::kAwaitRestoreReplica, "restore_replica", ""},
-      {Prim::kCommit, "done", ""},
-  };
-  return p;
-}
-
-Plan plan_group_rebuild() {
-  using reconfig::kStepAdd;
-  using reconfig::kStepBindEditPrep;
-  using reconfig::kStepCloneRegister;
-  using reconfig::kStepCommit;
-  using reconfig::kStepDel;
-  using reconfig::kStepObjCap;
-  using reconfig::kStepObjstateMove;
-  using reconfig::kStepRebind;
-  Plan p;
-  p.name = "group_rebuild";
-  p.description =
+  Plan rebuild = engine_plan(
+      "group_rebuild",
       "machine loss: a group member died with its machine; the survivor "
       "divulges once, its continuation stays in place, and a fresh heir on "
-      "a spare adopts the dead member's bindings "
-      "(replicate::rebuild_group)";
-  p.journaled = true;
-  p.outcome = Outcome::kCommitted;
-  p.steps = {
-      {Prim::kMachineKill, "machine_kill", ""},
-      {Prim::kBeginTxn, "begin", "begin"},
-      {Prim::kObjCap, "obj_cap", kStepObjCap},
-      {Prim::kRegisterClone, "clone_register", kStepCloneRegister},
-      {Prim::kRegisterReplica, "heir_register", ""},
-      {Prim::kPrepBindings, "bind_edit_prep", kStepBindEditPrep},
-      {Prim::kSignal, "objstate_move.signal", kStepObjstateMove},
-      {Prim::kPassivate, "objstate_move.passivate", ""},
-      {Prim::kDivulge, "objstate_move.divulge", ""},
-      {Prim::kDeliverState, "deliver_survivor", ""},
-      {Prim::kDeliverStateReplica, "deliver_heir", ""},
-      {Prim::kRebind, "rebind", kStepRebind},
-      {Prim::kAdoptDeadBindings, "adopt_dead_bindings", ""},
-      {Prim::kStartClone, "add_survivor", kStepAdd},
-      {Prim::kStartReplica, "add_heir", ""},
-      {Prim::kSweepQueues, "del.drain", kStepDel},
-      {Prim::kRemoveOld, "del.remove_survivor", ""},
-      {Prim::kRetireDead, "del.retire_dead", ""},
-      {Prim::kAwaitRestore, "restore_survivor", ""},
-      {Prim::kAwaitRestoreReplica, "restore_heir", ""},
-      {Prim::kCommit, "commit", kStepCommit},
+      "a spare adopts the dead member's bindings (replicate::rebuild_group)",
+      reconfig::rebuild_shape());
+  rebuild.steps.insert(rebuild.steps.begin(),
+                       {Prim::kMachineKill, "machine_kill", ""});
+  return {
+      replace,
+      engine_plan("move",
+                  "process migration: the Figure 5 script with the same "
+                  "program on another machine (reconfig::move_module)",
+                  reconfig::replace_shape()),
+      engine_plan("update",
+                  "software maintenance: the Figure 5 script with a new "
+                  "program version in place (reconfig::update_module)",
+                  reconfig::replace_shape()),
+      derived("abort_divulge_timeout",
+              "divulge timeout: the module never complied, everything rolls "
+              "back and the old instance keeps serving "
+              "(reconfig::replace_module abort path)",
+              Outcome::kAborted,
+              splice(replace.steps, Prim::kPassivate,
+                     {{Prim::kAbortRollback, "abort", "abort"}}, true)),
+      // The clone crashes during the first await; the retry chain inside
+      // the restore row replaces it before the await succeeds.
+      derived("retry_reinstall",
+              "post-divulge retry chain: the clone crashes while restoring; "
+              "a fresh clone adopts bindings, queues, and the saved state "
+              "(reconfig::replace_module, max_attempts > 1)",
+              Outcome::kCommitted,
+              splice(replace.steps, Prim::kAwaitRestore,
+                     {{Prim::kCloneCrashed, "clone_crash", ""},
+                      {Prim::kRetrySwap, "retry_swap", ""}},
+                     false)),
+      derived("recover_rollback",
+              "coordinator dies before the watershed; the successor scans "
+              "the WAL, removes the clone, and the old instance keeps "
+              "serving (recover::recover_coordinator)",
+              Outcome::kAborted,
+              splice(replace.steps, Prim::kSignal,
+                     {{Prim::kCoordinatorCrash, "crash", ""},
+                      {Prim::kRestartFromWal, "recover.scan", ""},
+                      {Prim::kAbortRollback, "recover.rollback", "abort"}},
+                     true)),
+      derived("recover_rollforward",
+              "coordinator dies after the watershed; the successor finishes "
+              "the script from the WAL: re-deliver, rebind remnants, start, "
+              "retire (recover::recover_coordinator)",
+              Outcome::kCommitted,
+              splice(replace.steps, Prim::kStartClone, rollforward_steps(),
+                     true)),
+      engine_plan("replicate",
+                  "replication: divulge once, install the state in a "
+                  "replacing clone AND a fresh replica "
+                  "(reconfig::replicate_module, unjournaled)",
+                  reconfig::replicate_shape(), /*journaled=*/false),
+      rebuild,
+      engine_plan("rebalance",
+                  "placement repair: a machine joined the ring and a member "
+                  "off its placement migrates via the Figure 5 move script "
+                  "(replicate::GroupManager::rebalance)",
+                  reconfig::replace_shape()),
+      engine_plan("replace_native",
+                  "native module swap: the telemetry collector or SLO monitor "
+                  "installs the divulged windows on its own tick, and the "
+                  "old instance retires once the clone serves "
+                  "(reconfig::replace_module over a native module)",
+                  reconfig::native_shape()),
   };
-  return p;
 }
 
-Plan plan_rebalance() {
-  Plan p = plan_replace();
-  p.name = "rebalance";
-  p.description =
-      "placement repair: a machine joined the ring and a member off its "
-      "placement migrates via the Figure 5 move script "
-      "(replicate::GroupManager::rebalance)";
-  return p;
-}
-
-std::vector<Plan> shipped_plans() {
-  return {plan_replace(),
-          plan_move(),
-          plan_update(),
-          plan_abort_divulge_timeout(),
-          plan_retry_reinstall(),
-          plan_recover_rollback(),
-          plan_recover_rollforward(),
-          plan_replicate(),
-          plan_group_rebuild(),
-          plan_rebalance()};
+Plan shipped_plan(const std::string& name) {
+  for (Plan& plan : shipped_plans()) {
+    if (plan.name == name) return plan;
+  }
+  throw std::out_of_range("no shipped plan named '" + name + "'");
 }
 
 Plan plan_broken_rebind_before_divulge() {
-  Plan p = plan_replace();
+  Plan p = reordered(shipped_plan("replace"), Prim::kRebind, Prim::kSignal);
   p.name = "broken_rebind_before_divulge";
   p.description =
       "SEEDED BROKEN PLAN: the rebind runs before the module divulged -- "
       "invariant 3 must flag it (checker self-test, not shipped)";
-  // Move the rebind step from after the objstate_move block to before it.
-  Step rebind;
-  for (auto it = p.steps.begin(); it != p.steps.end(); ++it) {
-    if (it->prim == Prim::kRebind) {
-      rebind = *it;
-      p.steps.erase(it);
-      break;
-    }
-  }
-  for (auto it = p.steps.begin(); it != p.steps.end(); ++it) {
-    if (it->prim == Prim::kSignal) {
-      p.steps.insert(it, rebind);
-      break;
-    }
-  }
   return p;
 }
 
 Plan plan_broken_adopt_before_divulge() {
-  Plan p = plan_group_rebuild();
+  Plan p = reordered(shipped_plan("group_rebuild"), Prim::kAdoptDeadBindings,
+                     Prim::kSignal);
   p.name = "broken_adopt_before_divulge";
   p.description =
       "SEEDED BROKEN PLAN: the heir adopts the dead member's bindings "
       "before the survivor divulged -- invariant 7 must flag it (checker "
       "self-test, not shipped)";
-  // Move the adoption from after the objstate_move block to before it.
-  Step adopt;
-  for (auto it = p.steps.begin(); it != p.steps.end(); ++it) {
-    if (it->prim == Prim::kAdoptDeadBindings) {
-      adopt = *it;
-      p.steps.erase(it);
-      break;
-    }
-  }
-  for (auto it = p.steps.begin(); it != p.steps.end(); ++it) {
-    if (it->prim == Prim::kSignal) {
-      p.steps.insert(it, adopt);
-      break;
-    }
-  }
   return p;
 }
 

@@ -13,10 +13,11 @@
 // The checker (verify/checker.hpp) symbolically executes a plan over this
 // state and reports, per step boundary, which of the chaos harness's
 // invariants 1-7 are established, preserved, or violated -- BEFORE the
-// script ever runs against a simulator. Every shipped script in
-// src/reconfig/scripts.cpp and src/recover/recovery.cpp has its plan here,
-// and verify_test pins the plans to the scripts' journal boundaries so the
-// two cannot drift apart silently.
+// script ever runs against a simulator. Every shipped plan is generated
+// from the step table the transaction engine runs (reconfig/transaction.hpp):
+// each engine row maps onto a primitive, and only the environment's events
+// (machine kill, clone or coordinator crash) and the recovery scan are
+// added here, so a plan cannot drift from its script.
 #pragma once
 
 #include <array>
@@ -153,10 +154,10 @@ void apply(Prim prim, AbsState& s, bool journaled);
 // --- plans ------------------------------------------------------------------
 
 /// One plan step: the primitive, a label for diagnostics, and the journal
-/// boundary the real script writes just before it ("" = none). The
-/// non-empty journal fields of a plan, in order, must equal the intent
-/// sequence the script reports through reconfig::ScriptJournal -- pinned
-/// by verify_test so plans cannot drift from the code.
+/// boundary the engine writes just before it ("" = none). The non-empty
+/// journal fields of a plan, in order, equal the intent sequence a run
+/// reports through reconfig::ScriptJournal (verify_test runs every
+/// journaled configuration against a recording journal).
 struct Step {
   Prim prim;
   std::string label;
@@ -178,37 +179,23 @@ struct Plan {
   [[nodiscard]] std::vector<std::string> journal_boundaries() const;
 };
 
-/// replace_module's happy path (Figure 5 + drain window + WAL).
-[[nodiscard]] Plan plan_replace();
-/// move_module: replacement with the same program on another machine.
-[[nodiscard]] Plan plan_move();
-/// update_module: replacement with a new program version in place.
-[[nodiscard]] Plan plan_update();
-/// replace_module's divulge-timeout abort: signal sent, module never
-/// complied, everything rolled back (journaled as aborted).
-[[nodiscard]] Plan plan_abort_divulge_timeout();
-/// replace_module's post-divulge retry chain: the clone crashes while
-/// restoring and a fresh clone adopts bindings, queues, and saved state.
-[[nodiscard]] Plan plan_retry_reinstall();
-/// recover_coordinator's rollback path: coordinator dies before the
-/// watershed; the successor removes the clone and the old keeps serving.
-[[nodiscard]] Plan plan_recover_rollback();
-/// recover_coordinator's roll-forward path: coordinator dies after the
-/// watershed; the successor finishes the script from the WAL.
-[[nodiscard]] Plan plan_recover_rollforward();
-/// replicate_module: divulge once, install the state in a replacing clone
-/// AND a fresh replica (unjournaled, as the script is today).
-[[nodiscard]] Plan plan_replicate();
-/// replicate::rebuild_group: a member's machine died; the survivor
-/// divulges once, its continuation stays in place, and a fresh heir on a
-/// spare adopts the dead member's bindings (journaled).
-[[nodiscard]] Plan plan_group_rebuild();
-/// replicate::GroupManager::rebalance: a machine joined the ring; members
-/// off their placement migrate via the Figure 5 move script.
-[[nodiscard]] Plan plan_rebalance();
-
-/// Every plan shipped above, in a stable order (the plan_check default).
+/// Every shipped plan, in a stable order (the plan_check default), each
+/// generated from the transaction engine's step table for one of its
+/// configurations plus the environment's events on that path:
+///   replace, move, update, rebalance -- the Figure 5 replacement, as
+///     replace/move/update_module and GroupManager::rebalance run it;
+///   abort_divulge_timeout -- the module never divulges; all rolls back;
+///   retry_reinstall -- the clone crashes while restoring and a fresh one
+///     takes over with the saved state (max_attempts > 1);
+///   recover_rollback, recover_rollforward -- the coordinator dies before
+///     or after the watershed and recover_coordinator finishes from the WAL;
+///   replicate -- a primary plus a replica copying the bindings;
+///   group_rebuild -- a member died with its machine: the survivor's
+///     continuation plus an heir that adopts the dead member's bindings;
+///   replace_native -- the collector/monitor swap, restoring in place.
 [[nodiscard]] std::vector<Plan> shipped_plans();
+/// The shipped plan called `name`; throws std::out_of_range for none.
+[[nodiscard]] Plan shipped_plan(const std::string& name);
 
 /// Deliberately broken: rebind BEFORE the module divulged. Violates
 /// invariant 3 (rebind-after-quiescence); plan_check must reject it, and

@@ -186,12 +186,12 @@ TEST(Counter, ReplicationInstallsSameStateTwice) {
       [&] { return rt->machine_of("client")->output().size() >= 3; },
       10'000'000));
   auto report = reconfig::replicate_module(*rt, "server", "sparc");
-  ASSERT_TRUE(rt->bus().has_module(report.primary.new_instance));
-  ASSERT_TRUE(rt->bus().has_module(report.replica_instance));
-  EXPECT_EQ(rt->bus().module_info(report.replica_instance).machine, "sparc");
+  ASSERT_TRUE(rt->bus().has_module(report.new_instance));
+  ASSERT_TRUE(rt->bus().has_module(report.clones[1]));
+  EXPECT_EQ(rt->bus().module_info(report.clones[1]).machine, "sparc");
   // Both clones decoded the same state buffer.
-  EXPECT_EQ(rt->machine_of(report.primary.new_instance)->decode_count(), 1u);
-  EXPECT_EQ(rt->machine_of(report.replica_instance)->decode_count(), 1u);
+  EXPECT_EQ(rt->machine_of(report.new_instance)->decode_count(), 1u);
+  EXPECT_EQ(rt->machine_of(report.clones[1])->decode_count(), 1u);
   // The primary continues serving the client to completion.
   ASSERT_TRUE(rt->run_until(
       [&] { return rt->module_finished("client"); }, 10'000'000));

@@ -201,7 +201,7 @@ TEST(Pipeline, ReplicaSeesTrafficAfterReplication) {
   ASSERT_TRUE(rt->run_until(
       [&] { return sink_output(*rt).size() >= 10; }, 10'000'000));
   auto report = reconfig::replicate_module(*rt, "filter", "sparc");
-  EXPECT_GT(rt->machine_of(report.replica_instance)->decode_count(), 0u);
+  EXPECT_GT(rt->machine_of(report.clones[1])->decode_count(), 0u);
   // Drain the whole stream: run until the feeder finished and every queue
   // emptied (both filters fan out to the sink, so line counts exceed
   // `items`; only full drainage gives a stable picture).

@@ -25,6 +25,12 @@
 namespace surgeon::profile {
 namespace {
 
+reconfig::ReplaceOptions on(const std::string& machine) {
+  reconfig::ReplaceOptions options;
+  options.machine = machine;
+  return options;
+}
+
 std::unique_ptr<app::Runtime> make_counter(std::uint64_t seed, int requests) {
   auto rt = std::make_unique<app::Runtime>(seed);
   rt->add_machine("vax", net::arch_vax());
@@ -233,8 +239,8 @@ TEST(Telemetry, ReplaceCollectorByteIdenticalAcross215ChaosSeeds) {
     const std::string before = collector->top("json");
     ASSERT_NE(before.find("\"series\":[{"), std::string::npos)
         << "seed " << seed;
-    ReplaceCollectorReport report = replace_collector(
-        rt->bus(), collector, "vax", [&] { return rt->step(); });
+    reconfig::ReplaceReport report =
+        reconfig::replace_module(*rt, collector, on("vax"));
     EXPECT_EQ(report.new_instance, "collector#2") << "seed " << seed;
     EXPECT_GT(report.state_bytes, 0u) << "seed " << seed;
     EXPECT_EQ(collector->module_name(), "collector#2") << "seed " << seed;
@@ -245,6 +251,35 @@ TEST(Telemetry, ReplaceCollectorByteIdenticalAcross215ChaosSeeds) {
     bus::Client query(rt->bus(), "client");
     EXPECT_EQ(query.mh_top("json"), before) << "seed " << seed;
   }
+}
+
+// A swap that runs out of its round budget before the collector divulges
+// rolls back: the clone is gone and the signal withdrawn, so the old
+// collector keeps applying deltas instead of passivating on its next tick.
+TEST(Telemetry, ReplaceCollectorRollsBackWhenTheBudgetRunsOut) {
+  auto rt = make_counter(3, 100'000);
+  rt->enable_metrics();
+  auto collector = std::make_unique<Collector>(rt->bus(), "collector", "vax");
+  Reporter reporter(rt->bus(), rt->metrics(), "vax", "collector");
+  rt->run_for(500'000);
+  const std::uint64_t before = collector->deltas_applied();
+  ASSERT_GT(before, 0u);
+
+  reconfig::ReplaceOptions options = on("sparc");
+  options.max_rounds = 2;
+  try {
+    (void)reconfig::replace_module(*rt, collector, options);
+    FAIL() << "expected ScriptError";
+  } catch (const reconfig::ScriptError& e) {
+    EXPECT_NE(std::string(e.what()).find("[objstate_move]"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(rt->bus().has_module("collector#2"));
+  EXPECT_EQ(collector->module_name(), "collector");
+
+  rt->run_for(1'000'000);
+  EXPECT_FALSE(collector->passivated());
+  EXPECT_GT(collector->deltas_applied(), before);
 }
 
 // --- obs exporters under replacement churn (satellite) -----------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "app/runtime.hpp"
 #include "app/samples.hpp"
@@ -42,16 +43,35 @@ TEST(Script, UnknownModuleThrows) {
 
 TEST(Script, NonParticipatingModuleTimesOut) {
   // The client has no reconfiguration points: it never divulges, and the
-  // script reports that clearly instead of hanging.
-  auto rt = make_counter();
-  ReplaceOptions options;
-  options.max_rounds = 30'000;
-  try {
-    (void)replace_module(*rt, "client", options);
-    FAIL() << "expected ScriptError";
-  } catch (const ScriptError& e) {
-    EXPECT_NE(std::string(e.what()).find("never divulged"),
-              std::string::npos);
+  // script reports that clearly instead of hanging, then rolls back every
+  // clone it registered.
+  struct Case {
+    const char* step;
+    std::function<void(Runtime&)> run;
+  };
+  const Case cases[] = {
+      {"replace_module[objstate_move]",
+       [](Runtime& rt) {
+         ReplaceOptions options;
+         options.max_rounds = 30'000;
+         (void)replace_module(rt, "client", options);
+       }},
+      {"replicate_module[objstate_move]",
+       [](Runtime& rt) { (void)replicate_module(rt, "client", "sparc"); }},
+  };
+  for (const Case& c : cases) {
+    auto rt = make_counter();
+    try {
+      c.run(*rt);
+      FAIL() << "expected ScriptError";
+    } catch (const ScriptError& e) {
+      EXPECT_NE(std::string(e.what()).find("never divulged"),
+                std::string::npos);
+      EXPECT_NE(std::string(e.what()).find(c.step), std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(rt->bus().has_module("client@2")) << c.step;
+    EXPECT_FALSE(rt->bus().has_module("client@3")) << c.step;
   }
 }
 
@@ -318,13 +338,13 @@ TEST(Script, ReplicationReportsBothClones) {
       10'000'000);
   auto report = replicate_module(*rt, "server", "sparc",
                                  /*bind_replica=*/false);
-  EXPECT_NE(report.primary.new_instance, report.replica_instance);
+  EXPECT_NE(report.new_instance, report.clones[1]);
   // With bind_replica=false the replica exists, holds the state, but has
   // no bindings: the client only talks to the primary.
   EXPECT_TRUE(
-      rt->bus().bound_peers({report.replica_instance, "req"}).empty());
+      rt->bus().bound_peers({report.clones[1], "req"}).empty());
   EXPECT_FALSE(
-      rt->bus().bound_peers({report.primary.new_instance, "req"}).empty());
+      rt->bus().bound_peers({report.new_instance, "req"}).empty());
   ASSERT_TRUE(rt->run_until(
       [&] { return rt->module_finished("client"); }, 10'000'000));
   rt->check_faults();

@@ -332,6 +332,12 @@ TEST(ProbeMonitor, ReportIsByteStableAndJsonRendersBothFormats) {
 
 // --- monitor replacement -----------------------------------------------------
 
+reconfig::ReplaceOptions on(const std::string& machine) {
+  reconfig::ReplaceOptions options;
+  options.machine = machine;
+  return options;
+}
+
 // An alert subscriber: ordinary bus module whose queue the test drains.
 class AlertSink {
  public:
@@ -387,9 +393,8 @@ TEST(MonitorReplacement, ReportByteIdenticalAcrossReplacement) {
   p.probe->stop();  // freeze the record stream before the snapshot
   p.scenario.runtime->run_for(500'000);
   const std::string before = strip_query_time(p.monitor->report("json"));
-  ReplaceMonitorReport report =
-      replace_monitor(p.scenario.runtime->bus(), p.monitor, "sparc",
-                      [&] { return p.scenario.runtime->step(); });
+  reconfig::ReplaceReport report =
+      reconfig::replace_module(*p.scenario.runtime, p.monitor, on("sparc"));
   EXPECT_EQ(report.new_instance, "slomon#2");
   EXPECT_GT(report.state_bytes, 0u);
   EXPECT_EQ(p.monitor->module_name(), "slomon#2");
@@ -443,8 +448,8 @@ TEST(MonitorReplacement, AlertSequenceGapFreeAcross215ChaosSeeds) {
         [&] {
           sink.drain();
           if (!replaced && rt.now() >= midday) {
-            ReplaceMonitorReport rep = replace_monitor(
-                rt.bus(), monitor, "sparc", [&] { return rt.step(); });
+            reconfig::ReplaceReport rep =
+                reconfig::replace_module(rt, monitor, on("sparc"));
             EXPECT_EQ(rep.new_instance, "slomon#2") << "seed " << seed;
             replaced = true;
           }
@@ -480,6 +485,35 @@ TEST(MonitorReplacement, AlertSequenceGapFreeAcross215ChaosSeeds) {
   EXPECT_GT(total_events, 300u);
 }
 
+// A swap that runs out of its round budget before the monitor divulges
+// rolls back: the clone is gone and the signal withdrawn, so the old
+// monitor keeps applying record batches instead of passivating.
+TEST(MonitorReplacement, RollsBackWhenTheBudgetRunsOut) {
+  Plane p = make_plane(2'000, 20'000'000);
+  app::Runtime& rt = *p.scenario.runtime;
+  constexpr std::uint64_t kRounds = 100'000'000'000ULL;
+  p.scenario.source->start();
+  rt.run_for(3'000'000, kRounds);
+  const std::uint64_t before = p.monitor->records_applied();
+  ASSERT_GT(before, 0u);
+
+  reconfig::ReplaceOptions options = on("sparc");
+  options.max_rounds = 2;
+  try {
+    (void)reconfig::replace_module(rt, p.monitor, options);
+    FAIL() << "expected ScriptError";
+  } catch (const reconfig::ScriptError& e) {
+    EXPECT_NE(std::string(e.what()).find("[objstate_move]"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(rt.bus().has_module("slomon#2"));
+  EXPECT_EQ(p.monitor->module_name(), "slomon");
+
+  rt.run_for(1'000'000, kRounds);
+  EXPECT_FALSE(p.monitor->passivated());
+  EXPECT_GT(p.monitor->records_applied(), before);
+}
+
 // --- surgeon_slo_* exporter lines under replacement churn (satellite) --------
 
 // Both the watched filter AND the monitor are replaced mid-day; the
@@ -507,8 +541,7 @@ TEST(SloMetrics, ExporterSurvivesReplacementChurnGolden) {
           replaced = true;
         }
         if (!monitor_replaced && rt.now() >= evening) {
-          (void)replace_monitor(rt.bus(), p.monitor, "sparc",
-                                [&] { return rt.step(); });
+          (void)reconfig::replace_module(rt, p.monitor, on("sparc"));
           monitor_replaced = true;
         }
         return p.scenario.source->done();

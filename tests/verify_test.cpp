@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <string_view>
 
 #include "app/runtime.hpp"
 #include "app/samples.hpp"
 #include "cfg/parser.hpp"
+#include "profile/telemetry.hpp"
 #include "reconfig/scripts.hpp"
 #include "replicate/kv.hpp"
 #include "replicate/rebuild.hpp"
@@ -236,12 +239,13 @@ TEST(Checker, EveryShippedPlanPasses) {
 
 TEST(Checker, ShippedPlanCountAndNamesAreStable) {
   const std::vector<Plan> plans = shipped_plans();
-  ASSERT_EQ(plans.size(), 10u);
+  ASSERT_EQ(plans.size(), 11u);
   EXPECT_EQ(plans[0].name, "replace");
   EXPECT_EQ(plans[5].name, "recover_rollback");
   EXPECT_EQ(plans[6].name, "recover_rollforward");
   EXPECT_EQ(plans[8].name, "group_rebuild");
   EXPECT_EQ(plans[9].name, "rebalance");
+  EXPECT_EQ(plans[10].name, "replace_native");
 }
 
 TEST(Checker, EstablishedStatusAppearsWhereAnInvariantFlipsOn) {
@@ -283,12 +287,8 @@ TEST(Checker, BrokenAdoptPlanFailsWithInvariant7) {
   bool boundary_hit = false;
   for (const Violation& v : report.violations) {
     EXPECT_EQ(v.invariant, 7) << v.kind << ": " << v.detail;
-    if (v.kind == "precondition" && v.step == "adopt_dead_bindings") {
-      pre_hit = true;
-    }
-    if (v.kind == "boundary" && v.step == "adopt_dead_bindings") {
-      boundary_hit = true;
-    }
+    if (v.kind == "precondition" && v.step == "heir.rebind") pre_hit = true;
+    if (v.kind == "boundary" && v.step == "heir.rebind") boundary_hit = true;
   }
   EXPECT_TRUE(pre_hit) << report.to_text();
   EXPECT_TRUE(boundary_hit) << report.to_text();
@@ -296,7 +296,7 @@ TEST(Checker, BrokenAdoptPlanFailsWithInvariant7) {
 }
 
 TEST(Checker, JsonIsWellFormedEnoughForTheCiGate) {
-  const PlanReport report = check_plan(plan_replace());
+  const PlanReport report = check_plan(shipped_plan("replace"));
   const std::string json = report.to_json();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
@@ -362,61 +362,120 @@ std::unique_ptr<app::Runtime> make_counter(int requests = 8) {
   return rt;
 }
 
-TEST(Conformance, ReplacePlanMatchesTheScriptsJournalBoundaries) {
-  auto rt = make_counter();
-  RecordingJournal journal;
-  reconfig::ReplaceOptions options;
-  options.journal = &journal;
-  (void)reconfig::replace_module(*rt, "server", options);
-  EXPECT_EQ(journal.boundaries, plan_replace().journal_boundaries());
-  EXPECT_EQ(journal.divulge_records, 1);
-  EXPECT_EQ(journal.committed_records, 1);
-}
-
-TEST(Conformance, GroupRebuildPlanMatchesTheScriptsJournalBoundaries) {
+/// A two-member KV group whose first member died with its machine; `sp0`
+/// is the spare that receives the heir.
+struct LostMember {
   app::Runtime rt;
-  replicate::KvOptions options;
-  options.shards = 1;
-  options.group_size = 2;
-  options.machines = {"m0", "m1"};
-  for (const auto& m : options.machines) rt.add_machine(m, net::arch_vax());
-  rt.add_machine("sp0", net::arch_vax());
-  rt.add_machine(options.control_machine, net::arch_vax());
-  replicate::KvService service(rt, options);
-  service.launch(60);  // long script: still mid-run at the kill
-  (void)rt.run_for(20'000, 50'000'000);
+  std::unique_ptr<replicate::KvService> service;
+  std::string survivor;
+  std::string dead;
 
-  const auto members = service.router().members(0);
-  ASSERT_EQ(members.size(), 2u);
-  const std::string& dead = members[0];
-  const std::string& survivor = members[1];
-  (void)rt.crash_machine(rt.bus().module_info(dead).machine);
+  LostMember() {
+    replicate::KvOptions options;
+    options.shards = 1;
+    options.group_size = 2;
+    options.machines = {"m0", "m1"};
+    for (const auto& m : options.machines) rt.add_machine(m, net::arch_vax());
+    rt.add_machine("sp0", net::arch_vax());
+    rt.add_machine(options.control_machine, net::arch_vax());
+    service = std::make_unique<replicate::KvService>(rt, options);
+    service->launch(60);  // long script: still mid-run at the kill
+    (void)rt.run_for(20'000, 50'000'000);
+    const auto members = service->router().members(0);
+    dead = members.at(0);
+    survivor = members.at(1);
+    (void)rt.crash_machine(rt.bus().module_info(dead).machine);
+  }
+};
 
-  RecordingJournal journal;
-  replicate::RebuildGroupOptions opts;
-  opts.target_machine = "sp0";
-  opts.journal = &journal;
-  opts.nudge = [&service] { service.router().nudge(0); };
-  (void)replicate::rebuild_group(rt, survivor, dead, opts);
-  EXPECT_EQ(journal.boundaries, plan_group_rebuild().journal_boundaries());
-  EXPECT_EQ(journal.divulge_records, 1);
-  EXPECT_EQ(journal.committed_records, 1);
-}
-
-TEST(Conformance, AbortPlanMatchesTheDivulgeTimeoutPath) {
-  // The client has no reconfiguration points: the script signals, waits,
-  // times out, and rolls back -- the abort_divulge_timeout plan.
-  auto rt = make_counter();
-  RecordingJournal journal;
-  reconfig::ReplaceOptions options;
-  options.journal = &journal;
-  options.divulge_timeout_us = 50'000;
-  EXPECT_THROW((void)reconfig::replace_module(*rt, "client", options),
-               reconfig::ScriptError);
-  EXPECT_EQ(journal.boundaries,
-            plan_abort_divulge_timeout().journal_boundaries());
-  EXPECT_EQ(journal.divulge_records, 0);
-  EXPECT_EQ(journal.committed_records, 0);
+/// Every journaled configuration of the transaction engine, run for real
+/// against a recording journal: the intents it writes must be exactly the
+/// journal boundaries of the plan generated for it.
+TEST(Conformance, EveryJournaledConfigurationMatchesItsPlan) {
+  struct Case {
+    Plan plan;
+    std::function<void(reconfig::ReplaceOptions&)> run;
+  };
+  const Case cases[] = {
+      {shipped_plan("replace"),
+       [](reconfig::ReplaceOptions& options) {
+         auto rt = make_counter();
+         (void)reconfig::replace_module(*rt, "server", options);
+       }},
+      {shipped_plan("move"),
+       [](reconfig::ReplaceOptions& options) {
+         auto rt = make_counter();
+         options.machine = "sparc";
+         (void)reconfig::replace_module(*rt, "server", options);
+       }},
+      {shipped_plan("update"),
+       [](reconfig::ReplaceOptions& options) {
+         auto rt = make_counter();
+         options.program = rt->image_of("server")->program;
+         (void)reconfig::replace_module(*rt, "server", options);
+       }},
+      // The client has no reconfiguration points: the engine signals,
+      // waits, times out, and rolls back.
+      {shipped_plan("abort_divulge_timeout"),
+       [](reconfig::ReplaceOptions& options) {
+         auto rt = make_counter();
+         options.divulge_timeout_us = 50'000;
+         EXPECT_THROW((void)reconfig::replace_module(*rt, "client", options),
+                      reconfig::ScriptError);
+       }},
+      // The clone crashes on its first state delivery; the retry chain
+      // installs a second one within the same transaction.
+      {shipped_plan("retry_reinstall"),
+       [](reconfig::ReplaceOptions& options) {
+         auto rt = make_counter();
+         bool armed = true;
+         rt->bus().set_state_observer(
+             [&](const std::string& module, const char* phase,
+                 const std::vector<std::uint8_t>&) {
+               if (armed && std::string_view(phase) == "delivered" &&
+                   rt->module_running(module)) {
+                 armed = false;
+                 rt->crash_module(module, "crashed on first state delivery");
+               }
+             });
+         options.max_attempts = 2;
+         const reconfig::ReplaceReport report =
+             reconfig::replace_module(*rt, "server", options);
+         EXPECT_EQ(report.attempts, 2);
+         EXPECT_FALSE(armed);
+       }},
+      {shipped_plan("group_rebuild"),
+       [](reconfig::ReplaceOptions& options) {
+         LostMember group;
+         options.machine = "sp0";
+         options.nudge = [&group] { group.service->router().nudge(0); };
+         (void)replicate::rebuild_group(group.rt, group.survivor, group.dead,
+                                        options);
+       }},
+      {shipped_plan("replace_native"),
+       [](reconfig::ReplaceOptions& options) {
+         auto rt = make_counter(2'000);
+         rt->enable_metrics();
+         auto collector =
+             std::make_unique<profile::Collector>(rt->bus(), "collector", "vax");
+         profile::Reporter reporter(rt->bus(), rt->metrics(), "vax",
+                                    "collector");
+         rt->run_for(200'000);
+         options.machine = "sparc";
+         (void)reconfig::replace_module(*rt, collector, options);
+         EXPECT_EQ(collector->module_name(), "collector#2");
+       }},
+  };
+  for (const Case& c : cases) {
+    RecordingJournal journal;
+    reconfig::ReplaceOptions options;
+    options.journal = &journal;
+    c.run(options);
+    const int closed = c.plan.outcome == Outcome::kCommitted ? 1 : 0;
+    EXPECT_EQ(journal.boundaries, c.plan.journal_boundaries()) << c.plan.name;
+    EXPECT_EQ(journal.divulge_records, closed) << c.plan.name;
+    EXPECT_EQ(journal.committed_records, closed) << c.plan.name;
+  }
 }
 
 }  // namespace

@@ -162,8 +162,10 @@ int main(int argc, char** argv) {
         }
         if (replace_monitor_flag && !monitor_replaced &&
             rt.now() >= evening) {
-          slo::ReplaceMonitorReport rep = slo::replace_monitor(
-              rt.bus(), monitor, "sparc", [&] { return rt.step(); });
+          reconfig::ReplaceOptions options;
+          options.machine = "sparc";
+          reconfig::ReplaceReport rep =
+              reconfig::replace_module(rt, monitor, options);
           std::cerr << "[replaced " << rep.old_instance << " -> "
                     << rep.new_instance << ", " << rep.state_bytes
                     << " state bytes]\n";

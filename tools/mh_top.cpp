@@ -124,8 +124,10 @@ int main(int argc, char** argv) {
                   << "us]\n";
       }
       if (replace_collector_flag) {
-        profile::ReplaceCollectorReport rep = profile::replace_collector(
-            rt.bus(), collector, "vax", [&] { return rt.step(); });
+        reconfig::ReplaceOptions options;
+        options.machine = "vax";
+        reconfig::ReplaceReport rep =
+            reconfig::replace_module(rt, collector, options);
         std::cout << "[replaced " << rep.old_instance << " -> "
                   << rep.new_instance << ", " << rep.state_bytes
                   << " state bytes]\n";

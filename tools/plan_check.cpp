@@ -1,8 +1,8 @@
 // Static reconfiguration-plan checker CLI.
 //
-// Symbolically executes the declared plan of every shipped reconfiguration
-// script (src/reconfig/scripts.cpp, src/recover/recovery.cpp,
-// src/replicate/rebuild.cpp) over the abstract configuration state and
+// Symbolically executes the plan of every shipped reconfiguration (each
+// generated from the step table of the transaction engine in
+// src/reconfig/transaction.cpp) over the abstract configuration state and
 // reports, per step boundary, which of
 // invariants 1-7 are established (E), preserved (P), or violated (V). Runs
 // in milliseconds with no simulator -- made for a fast per-PR CI gate.
