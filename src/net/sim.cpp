@@ -1,5 +1,7 @@
 #include "net/sim.hpp"
 
+#include <algorithm>
+
 #include "support/diag.hpp"
 
 namespace surgeon::net {
@@ -41,14 +43,15 @@ SimTime Simulator::message_latency(const std::string& a, const std::string& b) {
 
 void Simulator::schedule_at(SimTime t, std::function<void()> fn) {
   if (t < now_us_) t = now_us_;
-  events_.push(Event{t, next_seq_++, std::move(fn)});
+  events_.push_back(Event{t, next_seq_++, std::move(fn)});
+  std::push_heap(events_.begin(), events_.end(), Later{});
 }
 
 bool Simulator::step() {
   if (events_.empty()) return false;
-  // priority_queue::top is const; copy the function out before popping.
-  Event ev{events_.top().time, events_.top().seq, events_.top().fn};
-  events_.pop();
+  std::pop_heap(events_.begin(), events_.end(), Later{});
+  Event ev = std::move(events_.back());
+  events_.pop_back();
   // Monotone clock: advance_time (instruction cost) may have pushed `now`
   // past already-scheduled events; those fire late -- the compute consumed
   // their interval -- rather than rewinding virtual time.

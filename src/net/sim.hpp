@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -154,7 +153,9 @@ class Simulator {
 
   SimTime now_us_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> events_;
+  /// Binary heap under Later (std::push_heap/pop_heap): the earliest event
+  /// sits at the front, and step() moves it out instead of copying it.
+  std::vector<Event> events_;
   std::map<std::string, Machine> machines_;
   std::map<std::string, DurableStore> stores_;
   LatencyModel latency_;

@@ -82,19 +82,27 @@ std::string rt_to_string(const RtValue& v) {
 
 namespace {
 
-[[nodiscard]] RtValue default_slot_value(SlotType type) {
+/// Appends the value a slot holds before its declaration executes,
+/// constructed in place.
+void push_default_slot(std::vector<RtValue>& slots, SlotType type) {
   switch (type) {
     case SlotType::kInt:
-      return std::int64_t{0};
+      slots.emplace_back(std::in_place_type<std::int64_t>, 0);
+      return;
     case SlotType::kReal:
-      return 0.0;
+      slots.emplace_back(std::in_place_type<double>, 0.0);
+      return;
     case SlotType::kString:
-      return std::string{};
+      slots.emplace_back(std::in_place_type<std::string>);
+      return;
     case SlotType::kPointer:
-      return Ref{};
+      slots.emplace_back(std::in_place_type<Ref>);
+      return;
   }
-  return std::int64_t{0};
 }
+
+/// Most popped frames frame_pool_ keeps for reuse.
+constexpr std::size_t kFramePoolMax = 32;
 
 [[nodiscard]] RtValue from_abstract(const ser::Value& v) {
   if (v.is_int()) return v.as_int();
@@ -285,39 +293,35 @@ void Machine::set_dispatch_mode(DispatchMode mode) noexcept {
   for (auto& d : decoded_) d.reset();
 }
 
-const DecodedInsn* Machine::decoded_code(std::uint32_t fn_index,
-                                         std::uint32_t& size) {
-  auto& slot = decoded_[fn_index];
-  if (!slot) {
-    const CompiledFunction& fn = effective_function(fn_index);
-    const void* const* targets = nullptr;
+const DecodedInsn* Machine::decode(std::uint32_t fn_index,
+                                   std::uint32_t& size) {
+  const CompiledFunction& fn = effective_function(fn_index);
+  const void* const* targets = nullptr;
 #if SURGEON_VM_HAVE_COMPUTED_GOTO
-    if (dispatch_mode_ == DispatchMode::kThreaded) {
-      targets = run_threaded(nullptr, 0);
-    }
-#endif
-    auto vec = std::make_unique<std::vector<DecodedInsn>>();
-    vec->reserve(fn.code.size() + 1);
-    for (const Insn& insn : fn.code) {
-      DecodedInsn d;
-      d.op = insn.op;
-      d.a = insn.a;
-      d.b = insn.b;
-      if (targets != nullptr) {
-        d.target = targets[static_cast<std::size_t>(insn.op)];
-      }
-      vec->push_back(d);
-    }
-    // Sentinel: executing at index == size raises the off-the-end fault
-    // without a per-instruction bounds check in the hot loop.
-    DecodedInsn sentinel;
-    sentinel.op = kOpOffEnd;
-    if (targets != nullptr) sentinel.target = targets[kOpCount];
-    vec->push_back(sentinel);
-    slot = std::move(vec);
+  if (dispatch_mode_ == DispatchMode::kThreaded) {
+    targets = run_threaded(nullptr, 0);
   }
-  size = static_cast<std::uint32_t>(slot->size() - 1);
-  return slot->data();
+#endif
+  auto vec = std::make_unique<std::vector<DecodedInsn>>();
+  vec->reserve(fn.code.size() + 1);
+  for (const Insn& insn : fn.code) {
+    DecodedInsn d;
+    d.op = insn.op;
+    d.a = insn.a;
+    d.b = insn.b;
+    if (targets != nullptr) {
+      d.target = targets[static_cast<std::size_t>(insn.op)];
+    }
+    vec->push_back(d);
+  }
+  // Sentinel: executing at index == size raises the off-the-end fault
+  // without a per-instruction bounds check in the hot loop.
+  DecodedInsn sentinel;
+  sentinel.op = kOpOffEnd;
+  if (targets != nullptr) sentinel.target = targets[kOpCount];
+  vec->push_back(sentinel);
+  decoded_[fn_index] = std::move(vec);
+  return decoded_code(fn_index, size);
 }
 
 const CompiledFunction& Machine::effective_function(
@@ -334,52 +338,70 @@ void Machine::push_frame(std::uint32_t fn_index, std::size_t nargs) {
                   " args, expected " + std::to_string(fn.param_count));
   }
   Frame frame;
+  if (!frame_pool_.empty()) {
+    frame = std::move(frame_pool_.back());
+    frame_pool_.pop_back();
+  }
   frame.fn = fn_index;
   frame.pc = 0;
   frame.id = next_frame_id_++;
   frame.slots.reserve(fn.slot_types.size());
-  for (SlotType t : fn.slot_types) frame.slots.push_back(default_slot_value(t));
   if (nargs > 0) {
     auto& caller_stack = frames_.back().stack;
     if (caller_stack.size() < nargs) {
       throw VmError("operand stack underflow in call to " + fn.name);
     }
-    for (std::size_t i = 0; i < nargs; ++i) {
-      frame.slots[nargs - 1 - i] = std::move(caller_stack.back());
-      caller_stack.pop_back();
+    // Parameters are the first slots: the arguments move straight in.
+    const auto args = caller_stack.end() - static_cast<std::ptrdiff_t>(nargs);
+    for (auto it = args; it != caller_stack.end(); ++it) {
+      frame.slots.emplace_back(std::move(*it));
     }
+    caller_stack.erase(args, caller_stack.end());
+  }
+  for (std::size_t i = nargs; i < fn.slot_types.size(); ++i) {
+    push_default_slot(frame.slots, fn.slot_types[i]);
   }
   frames_.push_back(std::move(frame));
-  frame_by_id_[frames_.back().id] = frames_.size() - 1;
   if (frames_.size() > 100'000) {
     throw VmError("activation record stack overflow (100000 frames)");
   }
 }
 
-RtValue Machine::pop() {
-  auto& stack = top().stack;
-  if (stack.empty()) throw VmError("operand stack underflow");
-  RtValue v = std::move(stack.back());
-  stack.pop_back();
-  return v;
+void Machine::pop_frame() {
+  Frame& frame = frames_.back();
+  if (frame_pool_.size() < kFramePoolMax) {
+    frame.slots.clear();
+    frame.stack.clear();
+    frame_pool_.push_back(std::move(frame));
+  }
+  frames_.pop_back();
 }
 
-RtValue Machine::load_ref(const Ref& r) {
+RtValue& Machine::frame_slot(const Ref& r) {
+  // Ids ascend from the bottom of the stack to the top: try the top frame
+  // (a callee's own locals), then binary-search the rest.
+  auto it = frames_.end() - 1;
+  if (it->id != r.a) {
+    it = std::lower_bound(
+        frames_.begin(), it, r.a,
+        [](const Frame& f, std::uint64_t id) { return f.id < id; });
+    if (it->id != r.a) {
+      throw VmError("dangling pointer: activation record no longer exists");
+    }
+  }
+  if (r.b >= it->slots.size()) throw VmError("bad frame reference");
+  return it->slots[r.b];
+}
+
+const RtValue& Machine::load_ref(const Ref& r) {
   switch (r.kind) {
     case Ref::Kind::kNull:
       throw VmError("null pointer dereference");
     case Ref::Kind::kGlobal:
       if (r.a >= globals_.size()) throw VmError("bad global reference");
       return globals_[r.a];
-    case Ref::Kind::kFrame: {
-      auto it = frame_by_id_.find(r.a);
-      if (it == frame_by_id_.end()) {
-        throw VmError("dangling pointer: activation record no longer exists");
-      }
-      auto& frame = frames_[it->second];
-      if (r.b >= frame.slots.size()) throw VmError("bad frame reference");
-      return frame.slots[r.b];
-    }
+    case Ref::Kind::kFrame:
+      return frame_slot(r);
     case Ref::Kind::kHeap: {
       auto it = heap_.find(r.a);
       if (it == heap_.end()) {
@@ -405,16 +427,9 @@ void Machine::store_ref(const Ref& r, RtValue v) {
       if (r.a >= globals_.size()) throw VmError("bad global reference");
       globals_[r.a] = std::move(v);
       return;
-    case Ref::Kind::kFrame: {
-      auto it = frame_by_id_.find(r.a);
-      if (it == frame_by_id_.end()) {
-        throw VmError("dangling pointer: activation record no longer exists");
-      }
-      auto& frame = frames_[it->second];
-      if (r.b >= frame.slots.size()) throw VmError("bad frame reference");
-      frame.slots[r.b] = std::move(v);
+    case Ref::Kind::kFrame:
+      frame_slot(r) = std::move(v);
       return;
-    }
     case Ref::Kind::kHeap: {
       auto it = heap_.find(r.a);
       if (it == heap_.end()) {
@@ -462,7 +477,6 @@ StepResult Machine::step(std::uint64_t max_insns) {
   }
   result.state = state_;
   result.sleep_us = pending_sleep_us_;
-  result.blocked_iface = blocked_iface_;
   pending_sleep_us_ = 0;
   return result;
 }
@@ -623,6 +637,13 @@ void Machine::materialize_heap(const ser::StateBuffer& buf) {
   }
 }
 
+const std::vector<ValueKind>& Machine::format_kinds(const std::string& format) {
+  for (const auto& [text, kinds] : formats_) {
+    if (text == format) return kinds;
+  }
+  return formats_.emplace_back(format, support::parse_format(format)).second;
+}
+
 bool Machine::exec_builtin(std::uint8_t id, std::uint32_t nargs) {
   Frame& frame = top();
   auto& stack = frame.stack;
@@ -644,16 +665,14 @@ bool Machine::exec_builtin(std::uint8_t id, std::uint32_t nargs) {
     case BuiltinId::kMhRead: {
       require_client("mh_read");
       const std::string& iface = need_str(arg(0), "mh_read interface");
-      auto kinds = support::parse_format(need_str(arg(1), "mh_read format"));
+      const auto& kinds = format_kinds(need_str(arg(1), "mh_read format"));
       if (!client_->query_ifmsgs(iface)) {
         // Block without consuming anything: the retry re-executes this
         // instruction with the arguments still on the operand stack.
         state_ = RunState::kBlockedRead;
-        blocked_iface_ = iface;
         --instructions_executed_;  // the retry will count it
         return false;
       }
-      blocked_iface_.clear();
       auto msg = client_->try_read(iface);
       if (!msg.has_value()) throw VmError("mh_read: message vanished");
       if (msg->values.size() != kinds.size()) {
@@ -682,14 +701,16 @@ bool Machine::exec_builtin(std::uint8_t id, std::uint32_t nargs) {
             throw VmError("mh_read: messages cannot carry pointers");
         }
       }
+      payload_ = std::move(msg->values);
       finish(std::nullopt);
       return true;
     }
     case BuiltinId::kMhWrite: {
       require_client("mh_write");
       const std::string& iface = need_str(arg(0), "mh_write interface");
-      auto kinds = support::parse_format(need_str(arg(1), "mh_write format"));
-      std::vector<ser::Value> values;
+      const auto& kinds = format_kinds(need_str(arg(1), "mh_write format"));
+      std::vector<ser::Value> values = std::move(payload_);
+      values.clear();
       values.reserve(kinds.size());
       for (std::size_t i = 0; i < kinds.size(); ++i) {
         const RtValue& v = arg(static_cast<std::uint32_t>(i + 2));
@@ -717,7 +738,7 @@ bool Machine::exec_builtin(std::uint8_t id, std::uint32_t nargs) {
       return true;
     }
     case BuiltinId::kMhCapture: {
-      auto kinds = support::parse_format(need_str(arg(0), "mh_capture format"));
+      const auto& kinds = format_kinds(need_str(arg(0), "mh_capture format"));
       ser::StateFrame sframe;
       sframe.values.reserve(kinds.size());
       for (std::size_t i = 0; i < kinds.size(); ++i) {
@@ -730,7 +751,7 @@ bool Machine::exec_builtin(std::uint8_t id, std::uint32_t nargs) {
       return true;
     }
     case BuiltinId::kMhRestore: {
-      auto kinds = support::parse_format(need_str(arg(0), "mh_restore format"));
+      const auto& kinds = format_kinds(need_str(arg(0), "mh_restore format"));
       if (!restore_buf_.has_value()) {
         throw VmError("mh_restore called before mh_decode");
       }
@@ -1109,9 +1130,7 @@ void Machine::restore_raw_frame_image(std::span<const std::uint8_t> bytes) {
   if (nframes == 0 || nframes > 100'000) {
     throw VmError("frame image corrupt: implausible frame count");
   }
-  frames_.clear();
-  frame_by_id_.clear();
-  std::uint64_t max_id = 0;
+  std::vector<Frame> frames;
   for (std::uint32_t i = 0; i < nframes; ++i) {
     Frame f;
     f.fn = r.get_u32();
@@ -1120,7 +1139,11 @@ void Machine::restore_raw_frame_image(std::span<const std::uint8_t> bytes) {
     }
     f.pc = r.get_u32();
     f.id = r.get_u64();
-    max_id = std::max(max_id, f.id);
+    if (!frames.empty() && f.id <= frames.back().id) {
+      throw VmError(
+          "frame image corrupt: frame ids must ascend from the bottom of the "
+          "stack");
+    }
     auto nslots = r.get_u32();
     for (std::uint32_t s = 0; s < nslots; ++s) {
       f.slots.push_back(read_rt_value(r, arch_.slot_padding));
@@ -1129,10 +1152,10 @@ void Machine::restore_raw_frame_image(std::span<const std::uint8_t> bytes) {
     for (std::uint32_t s = 0; s < nstack; ++s) {
       f.stack.push_back(read_rt_value(r, arch_.slot_padding));
     }
-    frames_.push_back(std::move(f));
-    frame_by_id_[frames_.back().id] = frames_.size() - 1;
+    frames.push_back(std::move(f));
   }
-  next_frame_id_ = max_id + 1;
+  frames_ = std::move(frames);
+  next_frame_id_ = frames_.back().id + 1;
   state_ = RunState::kRunnable;
 }
 
@@ -1141,7 +1164,6 @@ void Machine::restore_raw_frame_image(std::span<const std::uint8_t> bytes) {
 struct Machine::Snapshot {
   std::vector<RtValue> globals;
   std::vector<Frame> frames;
-  std::map<std::uint64_t, std::size_t> frame_by_id;
   std::map<std::uint64_t, HeapObject> heap;
   std::uint64_t next_frame_id = 1;
   std::uint64_t next_heap_id = 1;
@@ -1161,7 +1183,6 @@ std::shared_ptr<Machine::Snapshot> Machine::checkpoint() const {
   auto snap = std::make_shared<Snapshot>();
   snap->globals = globals_;
   snap->frames = frames_;
-  snap->frame_by_id = frame_by_id_;
   snap->heap = heap_;
   snap->next_frame_id = next_frame_id_;
   snap->next_heap_id = next_heap_id_;
@@ -1185,7 +1206,6 @@ std::shared_ptr<Machine::Snapshot> Machine::checkpoint() const {
 void Machine::rollback(const Snapshot& snapshot) {
   globals_ = snapshot.globals;
   frames_ = snapshot.frames;
-  frame_by_id_ = snapshot.frame_by_id;
   heap_ = snapshot.heap;
   next_frame_id_ = snapshot.next_frame_id;
   next_heap_id_ = snapshot.next_heap_id;

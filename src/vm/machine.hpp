@@ -20,6 +20,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -48,7 +49,7 @@ using RtValue = std::variant<std::int64_t, double, std::string, Ref>;
 
 enum class RunState : std::uint8_t {
   kRunnable,
-  kBlockedRead,    // waiting for a message on blocked_iface
+  kBlockedRead,    // waiting for a message on an mh_read interface
   kBlockedDecode,  // waiting for an abstract state buffer
   kSleeping,       // sleep() called; resume after sleep_us
   kDone,           // main returned
@@ -59,7 +60,6 @@ struct StepResult {
   RunState state = RunState::kRunnable;
   std::uint64_t instructions = 0;   // executed during this slice
   std::uint64_t sleep_us = 0;       // when kSleeping
-  std::string blocked_iface;        // when kBlockedRead
 };
 
 /// How the dispatch loop gets from one instruction to the next.
@@ -295,6 +295,9 @@ class Machine {
   [[nodiscard]] std::string dump_stack() const;
 
  private:
+  /// One activation record. Ids are never reused and ascend from the
+  /// bottom of frames_ to the top, so a frame Ref resolves by binary
+  /// search and a Ref into a dead frame can never alias a live one.
   struct Frame {
     std::uint32_t fn = 0;
     std::uint32_t pc = 0;
@@ -307,13 +310,12 @@ class Machine {
   };
 
   void push_frame(std::uint32_t fn_index, std::size_t nargs);
+  /// Pops the top frame, keeping its (cleared) storage in frame_pool_.
+  void pop_frame();
   [[nodiscard]] Frame& top() { return frames_.back(); }
   [[nodiscard]] const CompiledFunction& fn_of(const Frame& f) const {
     return effective_function(f.fn);
   }
-
-  [[nodiscard]] RtValue pop();
-  void push(RtValue v) { top().stack.push_back(std::move(v)); }
 
   // The dispatch loops (bodies in machine_loop.inc, included twice from
   // machine.cpp). Passing resultp == nullptr asks the threaded variant for
@@ -324,16 +326,29 @@ class Machine {
 
   /// Lazily decoded code of effective_function(fn_index), with a sentinel
   /// entry at index `size` whose handler raises the pc-ran-off-the-end
-  /// fault. Invalidated by replace_function and set_dispatch_mode.
+  /// fault. Invalidated by replace_function and set_dispatch_mode. Every
+  /// call and return asks for it, so the already-decoded case is inline.
   const DecodedInsn* decoded_code(std::uint32_t fn_index,
-                                  std::uint32_t& size);
+                                  std::uint32_t& size) {
+    if (const auto& d = decoded_[fn_index]) {
+      size = static_cast<std::uint32_t>(d->size() - 1);
+      return d->data();
+    }
+    return decode(fn_index, size);
+  }
+  const DecodedInsn* decode(std::uint32_t fn_index, std::uint32_t& size);
   /// Rebuilds rt_consts_ from the program + extra constant pools.
   void sync_rt_consts();
 
   bool exec_builtin(std::uint8_t id, std::uint32_t nargs);
+  /// Value kinds of a format literal, parsed on its first use only. The
+  /// reference is valid until the next call.
+  const std::vector<support::ValueKind>& format_kinds(
+      const std::string& format);
 
   // Pointer plumbing.
-  [[nodiscard]] RtValue load_ref(const Ref& r);
+  [[nodiscard]] RtValue& frame_slot(const Ref& r);
+  [[nodiscard]] const RtValue& load_ref(const Ref& r);
   void store_ref(const Ref& r, RtValue v);
 
   // Abstract state capture/restore (the mh_capture/mh_restore builtins).
@@ -352,9 +367,9 @@ class Machine {
 
   std::vector<RtValue> globals_;
   std::vector<Frame> frames_;
-  /// frame id -> index in frames_. An index is stable for the frame's whole
-  /// lifetime (frames_ only pushes and pops at the back).
-  std::map<std::uint64_t, std::size_t> frame_by_id_;
+  /// Popped frames whose slot and operand-stack storage the next calls
+  /// reuse; capped (see pop_frame) so a deep recursion does not pin memory.
+  std::vector<Frame> frame_pool_;
   std::map<std::uint64_t, HeapObject> heap_;
   std::uint64_t next_frame_id_ = 1;
   std::uint64_t next_heap_id_ = 1;
@@ -380,7 +395,6 @@ class Machine {
 
   RunState state_ = RunState::kRunnable;
   std::string fault_message_;
-  std::string blocked_iface_;
   std::uint64_t pending_sleep_us_ = 0;
   std::uint64_t instructions_executed_ = 0;
 
@@ -399,6 +413,13 @@ class Machine {
   /// Constants pre-materialized as runtime values, so kPushConst is a copy
   /// instead of a per-execution abstract-value conversion.
   std::vector<RtValue> rt_consts_;
+  /// format_kinds' memo. Formats are literals (sema rejects any other), so
+  /// a module has a handful and a linear scan finds one.
+  std::vector<std::pair<std::string, std::vector<support::ValueKind>>>
+      formats_;
+  /// Storage of the last message mh_read consumed; the next mh_write sends
+  /// its payload in it.
+  std::vector<ser::Value> payload_;
 };
 
 /// Printable name of a run state (diagnostics and test failure messages).

@@ -1,0 +1,116 @@
+// Heap allocations on the steady-state request path of the MiniC VM.
+//
+// This file is its own executable because it replaces the global operator
+// new with a counting one. It runs the counter application on one host --
+// a busy client that keeps one RPC outstanding against the counter server,
+// which recurses through bump() on every request -- with metrics, tracing,
+// print and sleep all out of the picture, so what it counts is VM dispatch,
+// the mh_read/mh_write builtins, bus send/deliver and the event queue.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "app/runtime.hpp"
+#include "app/samples.hpp"
+#include "cfg/parser.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_malloc(std::size_t size) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_new(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_new(size); }
+void* operator new[](std::size_t size) { return counted_new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace surgeon {
+namespace {
+
+constexpr std::int64_t kWarmupRpcs = 1'000;
+constexpr std::int64_t kMeasuredRpcs = 10'000;
+// Every request bumps by 2, which adds 1 + 2 to the server's total.
+constexpr std::int64_t kTotalPerRpc = 3;
+
+std::string busy_client_source(std::int64_t requests) {
+  return R"mc(
+void main()
+{
+  int i;
+  int reply;
+  i = 1;
+  while (i <= )mc" +
+         std::to_string(requests) + R"mc() {
+    mh_write("svc", "i", 2);
+    mh_read("svc", "i", &reply);
+    i = i + 1;
+  }
+}
+)mc";
+}
+
+TEST(VmAlloc, SteadyStateRpcIsAllocationFree) {
+  app::Runtime rt(1);
+  rt.add_machine("vax", net::arch_vax());
+  rt.load_application(
+      cfg::parse_config(app::samples::counter_config_text()), "counter",
+      [](const cfg::ModuleSpec& spec) {
+        return spec.name == "client"
+                   ? busy_client_source(kWarmupRpcs + kMeasuredRpcs)
+                   : app::samples::counter_server_source();
+      });
+  const vm::Machine* client = rt.machine_of("client");
+  const vm::Machine* server = rt.machine_of("server");
+  ASSERT_NE(client, nullptr);
+  ASSERT_NE(server, nullptr);
+  const std::string total_name = "total";
+  auto total = [&] {
+    return std::get<std::int64_t>(server->global(total_name));
+  };
+
+  while (total() < kTotalPerRpc * kWarmupRpcs) ASSERT_TRUE(rt.step());
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  while (client->state() != vm::RunState::kDone) ASSERT_TRUE(rt.step());
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+
+  ASSERT_FALSE(rt.first_fault().has_value()) << rt.first_fault()->second;
+  EXPECT_EQ(total(), kTotalPerRpc * (kWarmupRpcs + kMeasuredRpcs));
+  // Instruction counts are virtual time, so removing allocations must not
+  // change a single one: 112 per RPC plus 30 outside the loops.
+  EXPECT_EQ(client->instructions_executed() + server->instructions_executed(),
+            112u * (kWarmupRpcs + kMeasuredRpcs) + 30u);
+  const double per_rpc = static_cast<double>(after - before) /
+                         static_cast<double>(kMeasuredRpcs);
+  EXPECT_LE(per_rpc, 0.5) << (after - before) << " allocations over "
+                          << kMeasuredRpcs << " RPCs";
+}
+
+}  // namespace
+}  // namespace surgeon

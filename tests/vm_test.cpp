@@ -290,6 +290,14 @@ INSTANTIATE_TEST_SUITE_P(
                   "void main() { int* p; int i; i = -1; p = mh_alloc_int(2); "
                   "print(p[i]); }",
                   "negative pointer index"},
+        // The second call to f reuses the first one's frame storage at the
+        // same stack depth; the pointer into the dead frame must not
+        // resolve to it.
+        FaultCase{"dangling_frame_pointer",
+                  "int* gp; void f(int n) { int x; x = n; "
+                  "if (n == 1) { gp = &x; } else { print(*gp); } } "
+                  "void main() { f(1); f(2); }",
+                  "dangling pointer"},
         FaultCase{"stack_overflow",
                   "void f() { f(); } void main() { f(); }",
                   "stack overflow"},
@@ -540,6 +548,39 @@ void main() { deep(3); }
 
   Machine clone(*prog, net::arch_sparc());
   EXPECT_THROW(clone.restore_raw_frame_image(image), VmError);
+}
+
+TEST(Vm, RawFrameImageRejectsNonAscendingFrameIds) {
+  // Frame pointers resolve by binary search over ids that ascend up the
+  // stack, so an image whose ids repeat or go backwards is refused rather
+  // than left to alias two frames under one id.
+  auto prog = std::make_shared<CompiledProgram>(compile_source(R"(
+void inner() { sleep(1); }
+void outer() { inner(); }
+void main() { outer(); }
+)"));
+  Machine m(*prog, net::arch_vax());
+  while (m.state() != RunState::kSleeping) (void)m.step(1);
+  ASSERT_EQ(m.stack_depth(), 3u);
+  const auto image = m.raw_frame_image();
+  // No globals, slots or operands: a 12-byte header (magic, global count,
+  // frame count), then 24 bytes per frame (fn, pc, id, slot count, operand
+  // count) with the id at offset 8. Frame ids are 1, 2, 3 bottom to top.
+  ASSERT_EQ(image.size(), 12u + 3u * 24u);
+  auto with_top_id = [&](std::uint64_t id) {
+    auto patched = image;
+    for (std::size_t i = 0; i < 8; ++i) {  // vax is little-endian
+      patched[12 + 2 * 24 + 8 + i] = static_cast<std::uint8_t>(id >> (8 * i));
+    }
+    return patched;
+  };
+
+  Machine ascending(*prog, net::arch_vax());
+  EXPECT_NO_THROW(ascending.restore_raw_frame_image(with_top_id(7)));
+  Machine repeated(*prog, net::arch_vax());
+  EXPECT_THROW(repeated.restore_raw_frame_image(with_top_id(2)), VmError);
+  Machine backwards(*prog, net::arch_vax());
+  EXPECT_THROW(backwards.restore_raw_frame_image(with_top_id(1)), VmError);
 }
 
 TEST(Vm, CheckpointRollbackRestoresEverything) {
