@@ -12,6 +12,16 @@
 // Wall time per iteration is the full simulated run; items processed are
 // acknowledged KV operations.
 //
+// BM_KvSteadyFleet -- host cost of steady-state serving as the fleet grows:
+// 3-member groups on 8 machines, reliable delivery, a GroupManager watching
+// 5 ms heartbeats, for 16, 64 and 256 shards (48 to 768 MiniC modules).
+// After 200 warm-up operations the timed region serves the next 1,000
+// acknowledged ones; the reported time (manual) and host_us_per_op cover
+// that region only, so setup and teardown are excluded. Per operation, the
+// work that must grow with the fleet -- one beat per module per heartbeat,
+// one poll per group per router tick -- grows linearly; everything else is
+// paid per operation, so 16x the shards may cost at most 16x per op.
+//
 // BM_RingPlace -- the raw consistent-hash placement probe, the per-group
 // price every rebuild and rebalance decision pays.
 //
@@ -22,6 +32,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -39,6 +50,17 @@ constexpr std::uint64_t kRounds = 400'000'000;
 constexpr net::SimTime kBudgetUs = 60'000'000;
 constexpr net::SimTime kCrashAtUs = 30'000;
 constexpr int kWorkItems = 300;
+
+/// The manager cadence both KV benchmarks run: 5 ms heartbeats, 20 ms
+/// sweeps, a machine suspect after 30 ms of silence and confirmed at 60.
+replicate::ManagerOptions bench_manager_options() {
+  replicate::ManagerOptions mopts;
+  mopts.heartbeat_interval_us = 5'000;
+  mopts.sweep_interval_us = 20'000;
+  mopts.detector.suspicion_timeout_us = 30'000;
+  mopts.detector.confirm_timeout_us = 60'000;
+  return mopts;
+}
 
 net::SimTime p99(std::vector<net::SimTime> samples) {
   if (samples.empty()) return 0;
@@ -68,11 +90,7 @@ void BM_RebuildUnderLoad(benchmark::State& state) {
     rt.add_machine(options.control_machine, net::arch_vax());
     replicate::KvService service(rt, options);
     service.launch(kWorkItems);
-    replicate::ManagerOptions mopts;
-    mopts.heartbeat_interval_us = 5'000;
-    mopts.sweep_interval_us = 20'000;
-    mopts.detector.suspicion_timeout_us = 30'000;
-    mopts.detector.confirm_timeout_us = 60'000;
+    replicate::ManagerOptions mopts = bench_manager_options();
     mopts.spares = {"sp0"};
     replicate::GroupManager manager(service, mopts);
     manager.start();
@@ -119,6 +137,58 @@ void BM_RebuildUnderLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_RebuildUnderLoad)->Arg(2)->Arg(3)->ArgNames({"group_size"})
     ->Unit(benchmark::kMillisecond);
+
+void BM_KvSteadyFleet(benchmark::State& state) {
+  constexpr int kWarmupOps = 200;
+  constexpr int kTimedOps = 1'000;
+  const auto shards = static_cast<std::size_t>(state.range(0));
+  double timed_us = 0;
+  std::uint64_t timed_ops = 0;
+  for (auto _ : state) {
+    replicate::KvOptions options;
+    options.seed = 1;
+    options.shards = shards;
+    options.group_size = 3;
+    options.machines.clear();
+    for (int m = 0; m < 8; ++m) {
+      options.machines.push_back("m" + std::to_string(m));
+    }
+    app::Runtime rt(1);
+    for (const auto& m : options.machines) rt.add_machine(m, net::arch_vax());
+    rt.add_machine(options.control_machine, net::arch_vax());
+    rt.bus().set_delivery(bus::DeliveryOptions{.reliable = true});
+    replicate::KvService service(rt, options);
+    service.launch(kWarmupOps + kTimedOps);
+    replicate::GroupManager manager(service, bench_manager_options());
+    manager.start();
+    const replicate::KvClientStats& client = service.client().stats();
+    if (!rt.run_until([&] { return client.acked >= kWarmupOps; }, kRounds)) {
+      state.SkipWithError("warm-up never finished");
+      break;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    const bool served = rt.run_until(
+        [&] { return client.acked >= kWarmupOps + kTimedOps; }, kRounds);
+    const auto t1 = std::chrono::steady_clock::now();
+    if (!served) {
+      state.SkipWithError("timed operations never finished");
+      break;
+    }
+    benchmark::DoNotOptimize(client.acked);
+    const std::chrono::duration<double> elapsed = t1 - t0;
+    state.SetIterationTime(elapsed.count());
+    timed_us += elapsed.count() * 1e6;
+    timed_ops += kTimedOps;
+    manager.stop();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(timed_ops));
+  if (timed_ops != 0) {
+    state.counters["host_us_per_op"] =
+        timed_us / static_cast<double>(timed_ops);
+  }
+}
+BENCHMARK(BM_KvSteadyFleet)->Arg(16)->Arg(64)->Arg(256)->ArgNames({"shards"})
+    ->UseManualTime()->Unit(benchmark::kMillisecond);
 
 void BM_RingPlace(benchmark::State& state) {
   replicate::HashRing ring(replicate::RingOptions{64, 11});

@@ -49,9 +49,48 @@ void Runtime::wake(const std::string& instance) {
   auto it = processes_.find(instance);
   // A sleeping module is not disturbed by message arrival; only its timer
   // wakes it (sleep() already completed inside the VM).
-  if (it != processes_.end() && !it->second.sleeping) {
-    it->second.waiting = false;
-  }
+  if (it != processes_.end() && !it->second.sleeping) resume(it);
+}
+
+void Runtime::resume(ProcessIt it) {
+  ProcessRec& rec = it->second;
+  if (!rec.waiting) return;
+  rec.waiting = false;
+  if (!rec.finished) make_ready(it);
+}
+
+std::size_t Runtime::ready_slot(const std::string& name) const {
+  const auto pos = std::partition_point(
+      ready_.begin(), ready_.end(),
+      [&name](ProcessIt p) { return p->first < name; });
+  return static_cast<std::size_t>(pos - ready_.begin());
+}
+
+void Runtime::make_ready(ProcessIt it) {
+  const std::size_t at = ready_slot(it->first);
+  if (at < ready_next_) ++ready_next_;
+  ready_.insert(ready_.begin() + static_cast<std::ptrdiff_t>(at), it);
+}
+
+void Runtime::unready(ProcessIt it) {
+  const std::size_t at = ready_slot(it->first);
+  if (at < ready_next_) --ready_next_;
+  ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(at));
+}
+
+void Runtime::unready_running() {
+  // The process whose slice just ended sits right before the cursor:
+  // make_ready/unready keep it there whatever its slice woke or retired.
+  --ready_next_;
+  ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(ready_next_));
+}
+
+void Runtime::drop_process(const std::string& instance) {
+  crashed_.erase(instance);
+  auto it = processes_.find(instance);
+  if (it == processes_.end()) return;
+  if (!it->second.waiting && !it->second.finished) unready(it);
+  processes_.erase(it);
 }
 
 void Runtime::install_module(const std::string& instance, ModuleImage image,
@@ -83,6 +122,7 @@ void Runtime::start_module(const std::string& instance) {
   const auto& info = bus_.module_info(instance);
   const net::Machine& host = sim_.machine(info.machine);
   ProcessRec rec;
+  rec.host = info.machine;
   rec.client = std::make_unique<bus::Client>(bus_, instance);
   rec.machine = std::make_unique<vm::Machine>(*img->second.program, host.arch,
                                               seed_ ^ std::hash<std::string>{}(
@@ -97,23 +137,23 @@ void Runtime::start_module(const std::string& instance) {
   rec.state_bytes_gauge =
       &metrics_.gauge("surgeon_vm_encoded_state_bytes", labels);
   if (profiler_ != nullptr) attach_tap(instance, rec);
-  processes_[instance] = std::move(rec);
+  make_ready(processes_.emplace(instance, std::move(rec)).first);
 }
 
 void Runtime::stop_module(const std::string& instance) {
-  processes_.erase(instance);
-  crashed_.erase(instance);
+  drop_process(instance);
 }
 
 void Runtime::remove_module(const std::string& instance) {
-  processes_.erase(instance);
-  crashed_.erase(instance);
+  drop_process(instance);
   images_.erase(instance);
   if (bus_.has_module(instance)) bus_.remove_module(instance);
 }
 
-void Runtime::crash_now(const std::string& instance, ProcessRec& rec,
-                        const std::string& detail) {
+void Runtime::crash_now(ProcessIt it, const std::string& detail) {
+  const std::string& instance = it->first;
+  ProcessRec& rec = it->second;
+  if (!rec.waiting) unready(it);
   rec.finished = true;
   rec.crash_in_insns.reset();
   crashed_.insert(instance);
@@ -137,7 +177,7 @@ void Runtime::crash_module(const std::string& instance,
     throw BusError("crash_module: " + instance + " has no process");
   }
   if (it->second.finished) return;  // already dead or done
-  crash_now(instance, it->second, detail);
+  crash_now(it, detail);
 }
 
 std::vector<std::string> Runtime::crash_machine(const std::string& machine,
@@ -148,12 +188,10 @@ std::vector<std::string> Runtime::crash_machine(const std::string& machine,
   // host dies but the nameserver still lists its modules; the rebuild
   // script retires the corpses.
   std::vector<std::string> killed;
-  for (auto& [name, rec] : processes_) {
-    if (rec.finished) continue;
-    if (!bus_.has_module(name)) continue;
-    if (bus_.module_info(name).machine != machine) continue;
-    crash_now(name, rec, detail);
-    killed.push_back(name);
+  for (auto it = processes_.begin(); it != processes_.end(); ++it) {
+    if (it->second.finished || it->second.host != machine) continue;
+    crash_now(it, detail);
+    killed.push_back(it->first);
   }
   dead_machines_.insert(machine);
   return killed;
@@ -173,8 +211,7 @@ void Runtime::restart_module(const std::string& instance) {
   if (!images_.contains(instance)) {
     throw BusError("restart_module: unknown instance " + instance);
   }
-  processes_.erase(instance);
-  crashed_.erase(instance);
+  drop_process(instance);
   start_module(instance);
 }
 
@@ -254,63 +291,68 @@ void Runtime::load_application(const cfg::ConfigFile& config,
 }
 
 bool Runtime::step() {
-  bool ran = false;
-  // Snapshot names first: a module's slice can add/remove modules only via
-  // scripts between rounds, but bus wakes mutate flags freely.
-  for (auto& [name, rec] : processes_) {
-    if (rec.finished || rec.waiting) continue;
-    std::uint64_t slice = slice_insns_;
-    if (rec.crash_in_insns.has_value()) {
-      if (*rec.crash_in_insns == 0) {
-        crash_now(name, rec, "crash_after fired");
-        ran = true;
-        continue;
-      }
-      slice = std::min(slice, *rec.crash_in_insns);
+  if (ready_.empty()) return sim_.step();
+  // One round: every runnable process runs one slice, in name order. A
+  // process made runnable mid-round (a bus wake) runs in this round only
+  // if it sorts after the one running now, as a walk over the ordered
+  // process table would have it; make_ready keeps the cursor there.
+  ready_next_ = 0;
+  while (ready_next_ < ready_.size()) run_slice(ready_[ready_next_++]);
+  return true;
+}
+
+void Runtime::run_slice(ProcessIt it) {
+  ProcessRec& rec = it->second;
+  std::uint64_t slice = slice_insns_;
+  if (rec.crash_in_insns.has_value()) {
+    if (*rec.crash_in_insns == 0) {
+      crash_now(it, "crash_after fired");
+      return;
     }
-    vm::StepResult r = rec.machine->step(slice);
-    ran = true;
-    if (rec.crash_in_insns.has_value()) {
-      *rec.crash_in_insns -= std::min<std::uint64_t>(*rec.crash_in_insns,
-                                                     r.instructions);
-    }
-    if (insn_cost_ns_ != 0 && r.instructions > 0) {
-      sim_.advance_time(r.instructions * insn_cost_ns_ / 1000);
-    }
-    if (metrics_.enabled()) publish_vm_metrics(rec, r.instructions);
-    switch (r.state) {
-      case vm::RunState::kSleeping: {
-        rec.waiting = true;
-        rec.sleeping = true;
-        std::string instance = name;
-        sim_.schedule_after(r.sleep_us, [this, instance] {
-          auto it = processes_.find(instance);
-          if (it != processes_.end()) {
-            it->second.sleeping = false;
-            it->second.waiting = false;
-          }
-        });
-        break;
-      }
-      case vm::RunState::kBlockedRead:
-      case vm::RunState::kBlockedDecode:
-        rec.waiting = true;
-        break;
-      case vm::RunState::kDone:
-        rec.finished = true;
-        break;
-      case vm::RunState::kFault:
-        rec.finished = true;
-        if (!first_fault_.has_value()) {
-          first_fault_ = {name, rec.machine->fault_message()};
-        }
-        break;
-      case vm::RunState::kRunnable:
-        break;  // slice exhausted; runs again next round
-    }
+    slice = std::min(slice, *rec.crash_in_insns);
   }
-  if (ran) return true;
-  return sim_.step();
+  vm::StepResult r = rec.machine->step(slice);
+  if (rec.crash_in_insns.has_value()) {
+    *rec.crash_in_insns -= std::min<std::uint64_t>(*rec.crash_in_insns,
+                                                   r.instructions);
+  }
+  if (insn_cost_ns_ != 0 && r.instructions > 0) {
+    sim_.advance_time(r.instructions * insn_cost_ns_ / 1000);
+  }
+  if (metrics_.enabled()) publish_vm_metrics(rec, r.instructions);
+  switch (r.state) {
+    case vm::RunState::kSleeping: {
+      unready_running();
+      rec.waiting = true;
+      rec.sleeping = true;
+      sim_.schedule_after(r.sleep_us, [this, instance = it->first] {
+        auto woken = processes_.find(instance);
+        if (woken != processes_.end()) {
+          woken->second.sleeping = false;
+          resume(woken);
+        }
+      });
+      break;
+    }
+    case vm::RunState::kBlockedRead:
+    case vm::RunState::kBlockedDecode:
+      unready_running();
+      rec.waiting = true;
+      break;
+    case vm::RunState::kDone:
+      unready_running();
+      rec.finished = true;
+      break;
+    case vm::RunState::kFault:
+      unready_running();
+      rec.finished = true;
+      if (!first_fault_.has_value()) {
+        first_fault_ = {it->first, rec.machine->fault_message()};
+      }
+      break;
+    case vm::RunState::kRunnable:
+      break;  // slice exhausted; runs again next round
+  }
 }
 
 bool Runtime::run_until(const std::function<bool()>& pred,
@@ -397,7 +439,7 @@ void Runtime::heartbeat_tick(std::uint64_t epoch) {
   if (epoch != hb_epoch_ || !hb_sink_) return;
   for (auto& [name, rec] : processes_) {
     if (rec.finished) continue;  // crashed/done processes stop beating
-    hb_sink_(name, sim_.now());
+    hb_sink_(name, rec.host, sim_.now());
   }
   sim_.schedule_after(hb_interval_us_,
                       [this, epoch] { heartbeat_tick(epoch); });

@@ -16,6 +16,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "bus/bus.hpp"
 #include "bus/client.hpp"
@@ -215,9 +216,14 @@ class Runtime {
   // --- heartbeats (surgeon::recover) ----------------------------------------
 
   /// Called once per heartbeat tick for every live (non-finished) process:
-  /// (instance, virtual time of the beat). The recover::FailureDetector is
-  /// the intended sink.
-  using HeartbeatSink = std::function<void(const std::string&, net::SimTime)>;
+  /// (instance, its host machine, virtual time of the beat). A process's
+  /// host is fixed for its life -- start_module reads it from the bus
+  /// registration, and a process leaves only with that registration -- so
+  /// the beat carries it, and the machine-level detector behind
+  /// replicate::GroupManager need not ask the bus. recover::Supervisor's
+  /// per-module detector ignores it.
+  using HeartbeatSink = std::function<void(
+      const std::string& instance, const std::string& host, net::SimTime)>;
 
   /// Starts a periodic virtual-clock heartbeat: every `interval_us` the
   /// runtime reports each live process to `sink`. Crashed and finished
@@ -256,6 +262,7 @@ class Runtime {
   struct ProcessRec {
     std::unique_ptr<bus::Client> client;
     std::unique_ptr<vm::Machine> machine;
+    std::string host;       // the bus registration's machine, fixed for life
     bool waiting = false;   // blocked or sleeping
     bool sleeping = false;  // waiting on a timer: only the timer may wake it
     bool finished = false;  // done or fault
@@ -271,19 +278,40 @@ class Runtime {
     std::unique_ptr<SampleTap> tap;
   };
 
+  using ProcessMap = std::map<std::string, ProcessRec>;
+  using ProcessIt = ProcessMap::iterator;
+
   void wake(const std::string& instance);
+  void resume(ProcessIt it);
+  /// Position of `name` in the name-ordered ready list (binary search).
+  [[nodiscard]] std::size_t ready_slot(const std::string& name) const;
+  void make_ready(ProcessIt it);
+  void unready(ProcessIt it);
+  /// unready() for the process whose slice just ran: no search.
+  void unready_running();
+  /// Ends the instance's process, if any, and clears its crashed mark.
+  void drop_process(const std::string& instance);
+  void run_slice(ProcessIt it);
   void heartbeat_tick(std::uint64_t epoch);
   void profile_tick(std::uint64_t epoch);
   void attach_tap(const std::string& instance, ProcessRec& rec);
   void record_trace(const bus::TraceEvent& ev);
   void publish_vm_metrics(ProcessRec& rec, std::uint64_t instructions);
-  void crash_now(const std::string& instance, ProcessRec& rec,
-                 const std::string& detail);
+  void crash_now(ProcessIt it, const std::string& detail);
 
   net::Simulator sim_;
   bus::Bus bus_;
   std::map<std::string, ModuleImage> images_;
-  std::map<std::string, ProcessRec> processes_;
+  ProcessMap processes_;
+  /// The ready list: exactly the runnable (neither waiting nor finished)
+  /// processes, in name order, kept up to date at every transition so a
+  /// round visits only them. A sorted vector rather than a node-based set:
+  /// once grown it never allocates, and wake/block sit on the request path.
+  std::vector<ProcessIt> ready_;
+  /// Index into ready_ of the next process the current round visits;
+  /// make_ready/unready shift it so that entries inserted or erased before
+  /// it leave the round's position unchanged.
+  std::size_t ready_next_ = 0;
   std::set<std::string> crashed_;
   std::set<std::string> dead_machines_;
   std::map<std::string, int> name_counters_;

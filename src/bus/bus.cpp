@@ -341,14 +341,19 @@ std::vector<std::string> Bus::interface_names(const std::string& module) const {
 }
 
 std::vector<BindingEnd> Bus::bound_peers(const BindingEnd& end) const {
-  std::vector<BindingEnd> peers;
   auto mit = modules_.find(end.module);
-  if (mit == modules_.end()) return peers;
+  if (mit == modules_.end()) return {};
   auto iit = mit->second.by_iface.find(end.iface);
-  if (iit == mit->second.by_iface.end()) return peers;
-  const Endpoint& ep = slab_[iit->second];
-  peers.reserve(ep.peers.size());
-  for (const PeerLink& pl : ep.peers) {
+  if (iit == mit->second.by_iface.end()) return {};
+  return bound_peers(ref_of(iit->second));
+}
+
+std::vector<BindingEnd> Bus::bound_peers(EndpointRef ref) const {
+  const Endpoint* ep = deref(ref);
+  if (ep == nullptr) throw BusError("peer query on stale endpoint handle");
+  std::vector<BindingEnd> peers;
+  peers.reserve(ep->peers.size());
+  for (const PeerLink& pl : ep->peers) {
     const Endpoint& peer = slab_[endpoint_slot(pl.ref)];
     peers.push_back(BindingEnd{peer.module, peer.spec.name});
   }

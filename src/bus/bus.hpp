@@ -230,6 +230,8 @@ class Bus {
   /// names are kept for fidelity to the Figure 5 API.)
   [[nodiscard]] std::vector<BindingEnd> bound_peers(
       const BindingEnd& end) const;
+  /// Pre-resolved form: resolves no names. Throws BusError on a stale ref.
+  [[nodiscard]] std::vector<BindingEnd> bound_peers(EndpointRef ref) const;
 
   /// Applies a batch of bind edits atomically (mh_rebind). Either the whole
   /// batch validates and applies, or nothing changes.

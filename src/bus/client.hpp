@@ -113,10 +113,13 @@ class Client {
   };
 
   /// Cached (iface -> endpoint handle) resolution, mirroring how the bus
-  /// pre-resolves trc::Recorder::Site slots. A module has a handful of
-  /// interfaces, so the linear scan is one short string compare; a stale
-  /// handle (the name was re-registered, e.g. clone promotion reusing the
-  /// module name) re-resolves through the string shim.
+  /// pre-resolves trc::Recorder::Site slots. The scan is linear in the
+  /// interfaces used so far: a short string compare or two for a MiniC
+  /// module, but quadratic for a native module polling dozens of them per
+  /// tick, which should hold its own EndpointRefs (replicate::KvRouter
+  /// does, for its one interface per group). A stale handle (the name was
+  /// re-registered, e.g. clone promotion reusing the module name)
+  /// re-resolves through the string shim.
   [[nodiscard]] EndpointRef port(const std::string& iface) {
     for (Port& p : ports_) {
       if (p.iface == iface) {

@@ -33,37 +33,38 @@ const char* machine_health_name(MachineHealth h) noexcept {
 void MachineDetector::beat(const std::string& module,
                            const std::string& machine, net::SimTime at) {
   ++beats_;
-  // A module migrating between machines (move_module) must not leave a
-  // stale beat behind on its old host keeping a dead machine "alive".
-  auto attributed = module_machine_.find(module);
-  if (attributed != module_machine_.end() && attributed->second != machine) {
-    auto old_rec = machines_.find(attributed->second);
-    if (old_rec != machines_.end()) {
-      old_rec->second.modules.erase(module);
-      if (old_rec->second.modules.empty()) machines_.erase(old_rec);
-    }
+  auto [attributed, fresh] = module_machine_.try_emplace(module);
+  if (!fresh && attributed->second->first != machine) {
+    // A module migrating between machines (move_module) must not leave a
+    // stale beat behind on its old host keeping a dead machine "alive".
+    detach(attributed->second, module);
+    fresh = true;
   }
-  module_machine_[module] = machine;
-  MachineRec& rec = machines_[machine];
+  if (fresh) {
+    attributed->second = machines_.try_emplace(machine).first;
+    attributed->second->second.modules.insert(module);
+  }
+  MachineRec& rec = attributed->second->second;
   if (at > rec.last) rec.last = at;
-  rec.modules[module] = at;
+}
+
+void MachineDetector::detach(MachineMap::iterator machine,
+                             const std::string& module) {
+  machine->second.modules.erase(module);
+  if (machine->second.modules.empty()) machines_.erase(machine);
 }
 
 void MachineDetector::forget_module(const std::string& module) {
   auto attributed = module_machine_.find(module);
   if (attributed == module_machine_.end()) return;
-  auto rec = machines_.find(attributed->second);
-  if (rec != machines_.end()) {
-    rec->second.modules.erase(module);
-    if (rec->second.modules.empty()) machines_.erase(rec);
-  }
+  detach(attributed->second, module);
   module_machine_.erase(attributed);
 }
 
 void MachineDetector::forget_machine(const std::string& machine) {
   auto rec = machines_.find(machine);
   if (rec == machines_.end()) return;
-  for (const auto& [module, at] : rec->second.modules) {
+  for (const std::string& module : rec->second.modules) {
     module_machine_.erase(module);
   }
   machines_.erase(rec);
@@ -100,11 +101,9 @@ std::vector<std::string> MachineDetector::confirmed(net::SimTime now) const {
 
 std::vector<std::string> MachineDetector::modules_on(
     const std::string& machine) const {
-  std::vector<std::string> out;
   auto rec = machines_.find(machine);
-  if (rec == machines_.end()) return out;
-  for (const auto& [module, at] : rec->second.modules) out.push_back(module);
-  return out;
+  if (rec == machines_.end()) return {};
+  return {rec->second.modules.begin(), rec->second.modules.end()};
 }
 
 std::optional<net::SimTime> MachineDetector::last_beat(

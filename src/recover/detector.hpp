@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -78,9 +79,11 @@ struct MachineDetectorOptions {
 
 /// Aggregates per-module heartbeats (the FailureDetector's currency) into
 /// machine-level verdicts: a machine is as alive as its most recently heard
-/// module. Module-to-machine attribution comes from the caller (the bus
-/// knows each module's host); the detector itself never touches the bus,
-/// so it is testable on bare timestamps like FailureDetector.
+/// module. Module-to-machine attribution comes from the caller (the runtime
+/// carries each process's host on its beat); the detector itself never
+/// touches the bus, so it is testable on bare timestamps like
+/// FailureDetector. Each module's attribution is cached, so a beat from a
+/// module that has not moved is one lookup and one max.
 class MachineDetector {
  public:
   explicit MachineDetector(MachineDetectorOptions options = {})
@@ -126,13 +129,22 @@ class MachineDetector {
 
  private:
   struct MachineRec {
-    net::SimTime last = 0;
-    std::map<std::string, net::SimTime> modules;  // last beat per module
+    net::SimTime last = 0;           // most recent beat of any module
+    std::set<std::string> modules;   // modules attributed here
   };
+  using MachineMap = std::map<std::string, MachineRec>;
+
+  /// Detaches `module` from `machine`; a record left without modules is
+  /// erased, so an empty record never makes a healthy machine look silent.
+  void detach(MachineMap::iterator machine, const std::string& module);
 
   MachineDetectorOptions options_;
-  std::map<std::string, MachineRec> machines_;
-  std::map<std::string, std::string> module_machine_;
+  MachineMap machines_;
+  /// Each module's attribution: the record of the machine it beats on. A
+  /// record is erased only when no attribution points at it any more
+  /// (detach on its last module, or forget_machine dropping them all), so
+  /// the cached iterators never dangle.
+  std::map<std::string, MachineMap::iterator> module_machine_;
   std::uint64_t beats_ = 0;
 };
 

@@ -60,9 +60,8 @@ void Supervisor::start() {
   std::uint64_t epoch = ++epoch_;
   rt_->enable_heartbeats(
       options_.heartbeat_interval_us,
-      [this](const std::string& module, net::SimTime at) {
-        detector_.beat(module, at);
-      });
+      [this](const std::string& module, const std::string& /*host*/,
+             net::SimTime at) { detector_.beat(module, at); });
   rt_->simulator().schedule_after(options_.sweep_interval_us,
                                   [this, epoch] { sweep(epoch); });
   if (options_.checkpoint_interval_us > 0) {

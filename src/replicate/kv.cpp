@@ -98,7 +98,8 @@ KvRouter::KvRouter(bus::Bus& bus, std::string machine, std::size_t shards,
       shards_(shards),
       tick_us_(tick_us),
       retry_us_(retry_us),
-      groups_(shards) {
+      groups_(shards),
+      group_ports_(shards, bus::kNullEndpointRef) {
   bus::ModuleInfo info;
   info.name = module_;
   info.machine = std::move(machine);
@@ -119,8 +120,7 @@ KvRouter::~KvRouter() {
 
 std::vector<std::string> KvRouter::members(std::size_t group) const {
   std::vector<std::string> out;
-  for (const auto& peer :
-       bus_->bound_peers(BindingEnd{module_, group_iface(group)})) {
+  for (const auto& peer : bus_->bound_peers(group_port(group))) {
     out.push_back(peer.module);
   }
   std::sort(out.begin(), out.end());
@@ -129,10 +129,10 @@ std::vector<std::string> KvRouter::members(std::size_t group) const {
 
 void KvRouter::nudge(std::size_t group) {
   // seq 0 never matches a pending operation, so every reply is discarded.
-  client_.write(group_iface(group),
-                {ser::Value{std::int64_t{2}}, ser::Value{std::int64_t{0}},
-                 ser::Value{static_cast<std::int64_t>(group)},
-                 ser::Value{std::int64_t{0}}});
+  bus_->send(group_port(group),
+             {ser::Value{std::int64_t{2}}, ser::Value{std::int64_t{0}},
+              ser::Value{static_cast<std::int64_t>(group)},
+              ser::Value{std::int64_t{0}}});
 }
 
 std::size_t KvRouter::pending_ops() const noexcept {
@@ -152,15 +152,22 @@ void KvRouter::schedule_tick() {
   });
 }
 
+bus::EndpointRef KvRouter::group_port(std::size_t g) const {
+  bus::EndpointRef& ref = group_ports_[g];
+  if (!bus_->endpoint_current(ref)) {
+    ref = bus_->resolve_endpoint(module_, group_iface(g));
+  }
+  return ref;
+}
+
 void KvRouter::fan_out(std::size_t g, PendingOp& op) {
   op.last_fanout_at = bus_->simulator().now();
-  client_.write(group_iface(g),
-                {ser::Value{op.op}, ser::Value{op.seq}, ser::Value{op.key},
-                 ser::Value{op.value}});
+  bus_->send(group_port(g), {ser::Value{op.op}, ser::Value{op.seq},
+                             ser::Value{op.key}, ser::Value{op.value}});
 }
 
 void KvRouter::absorb_replies(std::size_t g) {
-  while (auto msg = client_.try_read(group_iface(g))) {
+  while (auto msg = bus_->receive(group_port(g))) {
     const auto& v = msg->values;
     if (v.size() != 4 || !v[1].is_int()) continue;
     const std::int64_t seq = v[1].as_int();

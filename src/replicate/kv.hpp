@@ -135,6 +135,10 @@ class KvRouter {
 
   void schedule_tick();
   void tick();
+  /// Endpoint handle of group `g`'s interface. Polls and fan-outs go
+  /// through it, so a tick resolves no interface names; it re-resolves
+  /// only when the bus reports it stale.
+  [[nodiscard]] bus::EndpointRef group_port(std::size_t g) const;
   void fan_out(std::size_t g, PendingOp& op);
   void absorb_replies(std::size_t g);
   void progress(std::size_t g);
@@ -146,6 +150,7 @@ class KvRouter {
   net::SimTime tick_us_;
   net::SimTime retry_us_;
   std::vector<Group> groups_;
+  mutable std::vector<bus::EndpointRef> group_ports_;
   KvRouterStats stats_;
   std::vector<KvLatencySample> latencies_;
   std::shared_ptr<int> alive_ = std::make_shared<int>(0);

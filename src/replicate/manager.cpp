@@ -45,12 +45,12 @@ void GroupManager::start() {
   const std::uint64_t epoch = ++epoch_;
   rt_->enable_heartbeats(
       options_.heartbeat_interval_us,
-      [this](const std::string& module, net::SimTime at) {
-        // Attribution comes from the bus at beat time, so a member that
-        // migrated (rebalance) stops vouching for its old host.
-        if (rt_->bus().has_module(module)) {
-          detector_.beat(module, rt_->bus().module_info(module).machine, at);
-        }
+      [this](const std::string& module, const std::string& host,
+             net::SimTime at) {
+        // The beat carries the process's host, so a member that migrated
+        // (rebalance: a new process under a new name) vouches for its new
+        // host only.
+        detector_.beat(module, host, at);
         if (options_.extra_beat) options_.extra_beat(module, at);
       });
   rt_->simulator().schedule_after(options_.sweep_interval_us,
@@ -68,7 +68,13 @@ void GroupManager::stop() {
 void GroupManager::prune_departed() {
   // Modules that left the bus (replaced, rebuilt away, removed) stop
   // beating for a reason; drop them before their silence slanders a
-  // perfectly healthy machine.
+  // perfectly healthy machine. A module leaves only through
+  // Bus::remove_module, which bumps the topology generation, so a sweep
+  // that sees the generation unchanged since the last pass has nothing to
+  // drop.
+  const std::uint64_t generation = rt_->bus().module_topology_generation();
+  if (pruned_generation_ == generation) return;
+  pruned_generation_ = generation;
   for (const std::string& machine : detector_.machine_names()) {
     for (const std::string& module : detector_.modules_on(machine)) {
       if (!rt_->bus().has_module(module)) detector_.forget_module(module);

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -106,6 +107,8 @@ class GroupManager {
   bool running_ = false;
   bool in_control_ = false;
   std::uint64_t epoch_ = 0;
+  /// Bus topology generation the last prune_departed pass ran at.
+  std::optional<std::uint64_t> pruned_generation_;
 };
 
 }  // namespace surgeon::replicate

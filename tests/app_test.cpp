@@ -5,7 +5,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "app/runtime.hpp"
 #include "app/samples.hpp"
@@ -344,6 +348,146 @@ TEST(Runtime, StopModuleLeavesBusRegistration) {
   // And it can be started again (fresh VM, fresh state).
   rt->start_module("m");
   EXPECT_TRUE(rt->module_running("m"));
+}
+
+// --- the scheduler's ready list ----------------------------------------------
+//
+// step() visits only runnable processes, kept in a name-ordered ready list
+// that every lifecycle transition updates. These tests pin the transitions
+// such a list can get wrong.
+
+constexpr std::uint64_t kSpinSlice = 50;
+
+/// Three always-runnable modules, started out of name order: a and c on the
+/// vax, b on the sparc. Each records the virtual time its first slice began.
+std::unique_ptr<Runtime> spinners() {
+  auto rt = two_machines();
+  rt->set_slice(kSpinSlice);
+  rt->set_instruction_cost_ns(1000);  // each slice moves the clock 50us
+  const char* src = R"(
+void main() {
+  int i;
+  print(clock());
+  i = 0;
+  while (1) { i = i + 1; }
+}
+)";
+  for (const char* name : {"c", "a", "b"}) {
+    rt->install_module(name, image_of(src),
+                       std::string(name) == "b" ? "sparc" : "vax", "new");
+    rt->start_module(name);
+  }
+  return rt;
+}
+
+std::uint64_t insns(Runtime& rt, const std::string& instance) {
+  const vm::Machine* m = rt.machine_of(instance);
+  return m == nullptr ? 0 : m->instructions_executed();
+}
+
+TEST(Scheduler, OneStepRunsEveryRunnableProcessOnceInNameOrder) {
+  auto rt = spinners();
+  ASSERT_TRUE(rt->step());
+  for (const char* name : {"a", "b", "c"}) {
+    EXPECT_EQ(insns(*rt, name), kSpinSlice) << name;
+  }
+  // Name order, not start order: a's slice ran first, then b's, then c's.
+  EXPECT_EQ(rt->machine_of("a")->output(), std::vector<std::string>{"0"});
+  EXPECT_EQ(rt->machine_of("b")->output(), std::vector<std::string>{"50"});
+  EXPECT_EQ(rt->machine_of("c")->output(), std::vector<std::string>{"100"});
+  ASSERT_TRUE(rt->step());
+  for (const char* name : {"a", "b", "c"}) {
+    EXPECT_EQ(insns(*rt, name), 2 * kSpinSlice) << name;
+  }
+}
+
+TEST(Scheduler, AllBlockedStepRunsExactlyOneEvent) {
+  auto rt = two_machines();
+  std::vector<bus::InterfaceSpec> ifaces = {
+      bus::InterfaceSpec{"in", bus::IfaceRole::kUse, "i", ""}};
+  for (const char* name : {"r1", "r2"}) {
+    rt->install_module(name,
+                       image_of("void main() { int x; mh_read(\"in\", \"i\", "
+                                "&x); print(x); }",
+                                ifaces),
+                       "vax", "new");
+    rt->start_module(name);
+  }
+  ASSERT_TRUE(rt->step());  // both run until they block in mh_read
+  const std::uint64_t r1 = insns(*rt, "r1");
+  const std::uint64_t r2 = insns(*rt, "r2");
+  ASSERT_GT(r1, 0u);
+  int fired = 0;
+  rt->simulator().schedule_after(5, [&fired] { ++fired; });
+  rt->simulator().schedule_after(7, [&fired] { ++fired; });
+  ASSERT_TRUE(rt->step());
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(rt->now(), 5u);
+  EXPECT_EQ(insns(*rt, "r1"), r1);
+  EXPECT_EQ(insns(*rt, "r2"), r2);
+  ASSERT_TRUE(rt->step());
+  EXPECT_EQ(fired, 2);
+  EXPECT_FALSE(rt->step());  // nothing runnable, nothing pending: idle
+  EXPECT_EQ(insns(*rt, "r1"), r1);
+}
+
+TEST(Scheduler, ProcessesLeavingTheReadyListAreNeverSteppedAgain) {
+  // Each transition takes runnable b out of the ready list, between
+  // rounds; a and c must keep running and b must never be stepped again.
+  const std::vector<std::pair<std::string, std::function<void(Runtime&)>>>
+      transitions = {
+          {"crash_after 0", [](Runtime& rt) { rt.crash_after("b", 0); }},
+          {"crash_module", [](Runtime& rt) { rt.crash_module("b"); }},
+          {"crash_machine",
+           [](Runtime& rt) {
+             EXPECT_EQ(rt.crash_machine("sparc"),
+                       std::vector<std::string>{"b"});
+           }},
+          {"stop_module", [](Runtime& rt) { rt.stop_module("b"); }},
+          {"remove_module", [](Runtime& rt) { rt.remove_module("b"); }},
+      };
+  for (const auto& [what, transition] : transitions) {
+    SCOPED_TRACE(what);
+    auto rt = spinners();
+    ASSERT_TRUE(rt->step());
+    transition(*rt);
+    for (int round = 0; round < 4; ++round) ASSERT_TRUE(rt->step());
+    EXPECT_EQ(insns(*rt, "a"), 5 * kSpinSlice);
+    EXPECT_EQ(insns(*rt, "c"), 5 * kSpinSlice);
+    EXPECT_FALSE(rt->module_running("b"));
+    if (rt->machine_of("b") != nullptr) {
+      EXPECT_EQ(insns(*rt, "b"), kSpinSlice);  // crashed, never stepped
+      EXPECT_TRUE(rt->module_crashed("b"));
+    }
+  }
+}
+
+TEST(Scheduler, RestartedProcessRunsAgain) {
+  auto rt = spinners();
+  ASSERT_TRUE(rt->step());
+  rt->crash_module("b");
+  ASSERT_TRUE(rt->step());
+  EXPECT_EQ(insns(*rt, "b"), kSpinSlice);
+  rt->restart_module("b");
+  EXPECT_TRUE(rt->module_running("b"));
+  EXPECT_EQ(insns(*rt, "b"), 0u);  // a fresh VM
+  ASSERT_TRUE(rt->step());
+  EXPECT_EQ(insns(*rt, "b"), kSpinSlice);
+  EXPECT_EQ(insns(*rt, "a"), 3 * kSpinSlice);
+  EXPECT_EQ(insns(*rt, "c"), 3 * kSpinSlice);
+  // A delayed restart armed by crash_after comes back the same way, once
+  // the simulator gets a turn (nothing else is runnable).
+  rt->stop_module("a");
+  rt->stop_module("b");
+  rt->crash_after("c", 0, /*restart_after_us=*/10);
+  ASSERT_TRUE(rt->step());  // c's crash fires at its turn
+  EXPECT_TRUE(rt->module_crashed("c"));
+  EXPECT_FALSE(rt->module_running("c"));
+  ASSERT_TRUE(rt->step());  // the restart event
+  EXPECT_TRUE(rt->module_running("c"));
+  EXPECT_EQ(insns(*rt, "c"), 0u);
+  ASSERT_TRUE(rt->step());
+  EXPECT_EQ(insns(*rt, "c"), kSpinSlice);
 }
 
 }  // namespace

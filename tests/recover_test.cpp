@@ -188,8 +188,9 @@ TEST(Heartbeats, EveryLiveProcessBeatsOnTheVirtualClock) {
   auto rt = make_counter();
   recover::FailureDetector det(
       recover::DetectorOptions{.suspicion_timeout_us = 5'000});
-  rt->enable_heartbeats(1'000, [&](const std::string& module,
-                                   net::SimTime at) { det.beat(module, at); });
+  rt->enable_heartbeats(
+      1'000, [&](const std::string& module, const std::string& /*host*/,
+                 net::SimTime at) { det.beat(module, at); });
   EXPECT_TRUE(rt->heartbeats_enabled());
   rt->run_for(10'000);
   EXPECT_EQ(det.tracked(), 2u);  // client and server both beat
@@ -212,7 +213,8 @@ TEST(Heartbeats, EveryLiveProcessBeatsOnTheVirtualClock) {
 
 TEST(Heartbeats, ZeroIntervalRejected) {
   auto rt = make_counter();
-  EXPECT_THROW(rt->enable_heartbeats(0, [](const std::string&, net::SimTime) {}),
+  EXPECT_THROW(rt->enable_heartbeats(0, [](const std::string&,
+                                           const std::string&, net::SimTime) {}),
                support::BusError);
 }
 

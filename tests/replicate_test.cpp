@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -162,6 +163,61 @@ TEST(MachineDetectorTest, ForgettingTheMachineDropsItsModules) {
   // a's beats start from scratch after the forget.
   det.beat("a", "m0", 500'000);
   EXPECT_EQ(det.health("m0", 500'000), MachineHealth::kAlive);
+}
+
+// The detector caches each module's attribution (its machine's record).
+// The three tests below pin the cases where a cached attribution could
+// outlive the record it points at; CI runs them under ASan.
+
+TEST(MachineDetectorTest, BeatAfterForgetMachineRecreatesTheMachine) {
+  MachineDetector det;
+  det.beat("a", "m0", 1'000);
+  det.forget_machine("m0");
+  EXPECT_EQ(det.tracked_machines(), 0u);
+  EXPECT_FALSE(det.last_beat("m0").has_value());
+  det.beat("a", "m0", 7'000);
+  EXPECT_EQ(det.last_beat("m0"), std::optional<net::SimTime>{7'000});
+  EXPECT_EQ(det.modules_on("m0"), std::vector<std::string>{"a"});
+  // Silence counts from the new beat, not the forgotten one.
+  EXPECT_EQ(det.health("m0", 7'000 + 50'000), MachineHealth::kAlive);
+  EXPECT_EQ(det.health("m0", 7'000 + 50'001), MachineHealth::kSuspect);
+}
+
+TEST(MachineDetectorTest, ForgettingTheLastModuleThenBeatingAnotherOnIt) {
+  MachineDetector det;
+  det.beat("a", "m0", 1'000);
+  det.beat("b", "m1", 1'000);
+  det.forget_module("a");  // m0's last module: the record goes with it
+  EXPECT_EQ(det.machine_names(), std::vector<std::string>{"m1"});
+  det.beat("c", "m0", 9'000);
+  EXPECT_EQ(det.last_beat("m0"), std::optional<net::SimTime>{9'000});
+  EXPECT_EQ(det.modules_on("m0"), std::vector<std::string>{"c"});
+  // The forgotten module may come back; it joins the new record.
+  det.beat("a", "m0", 10'000);
+  EXPECT_EQ(det.modules_on("m0"), (std::vector<std::string>{"a", "c"}));
+  EXPECT_EQ(det.last_beat("m0"), std::optional<net::SimTime>{10'000});
+  EXPECT_EQ(det.beats_observed(), 4u);
+}
+
+TEST(MachineDetectorTest, MigrationAfterTheOldMachineWasErased) {
+  MachineDetector det;
+  det.beat("a", "m0", 1'000);
+  det.beat("b", "m0", 1'000);
+  det.forget_machine("m0");  // drops a's and b's attributions with it
+  det.beat("a", "m1", 2'000);
+  EXPECT_EQ(det.machine_names(), std::vector<std::string>{"m1"});
+  // a leaves m1, its only module, so the migration itself erases m1's
+  // record; moving back must create a fresh one, not revive the old.
+  det.beat("a", "m2", 3'000);
+  EXPECT_EQ(det.machine_names(), std::vector<std::string>{"m2"});
+  det.beat("a", "m1", 4'000);
+  EXPECT_EQ(det.machine_names(), std::vector<std::string>{"m1"});
+  EXPECT_EQ(det.last_beat("m1"), std::optional<net::SimTime>{4'000});
+  det.beat("b", "m1", 5'000);
+  EXPECT_EQ(det.modules_on("m1"), (std::vector<std::string>{"a", "b"}));
+  det.forget_module("a");
+  det.forget_module("b");
+  EXPECT_EQ(det.tracked_machines(), 0u);
 }
 
 // --- KV workload -------------------------------------------------------------
