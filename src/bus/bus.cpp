@@ -203,13 +203,20 @@ void Bus::set_metrics(obs::MetricsRegistry* metrics) {
   for (auto& [name, r] : modules_) resolve_endpoint_metrics(r);
 }
 
+void Bus::resolve_trace_symbols(ModuleRec& r) {
+  r.trace_site = tracer_->resolve_site(r.info.machine, r.info.name);
+  for (EndpointId slot : r.slots) {
+    Endpoint& ep = slab_[slot];
+    ep.trace_detail = tracer_->intern(ep.spec.name);
+    ep.trace_terminal_detail = tracer_->intern(
+        ep.spec.name + std::string(trc::kTerminalSuffix));
+  }
+}
+
 void Bus::set_tracer(trc::Recorder* tracer) {
   tracer_ = tracer;
-  for (auto& [name, r] : modules_) {
-    r.trace_site = tracer_ != nullptr
-                       ? tracer_->resolve_site(r.info.machine, name)
-                       : trc::Recorder::Site{};
-  }
+  if (tracer_ == nullptr) return;
+  for (auto& [name, r] : modules_) resolve_trace_symbols(r);
 }
 
 void Bus::set_request_entry(const std::string& module,
@@ -259,9 +266,7 @@ void Bus::add_module(ModuleInfo info) {
     r.by_iface.emplace(spec.name, slot);
   }
   resolve_endpoint_metrics(r);
-  if (tracer_ != nullptr) {
-    r.trace_site = tracer_->resolve_site(r.info.machine, name);
-  }
+  if (tracer_ != nullptr) resolve_trace_symbols(r);
   const std::string detail =
       "machine=" + r.info.machine + " status=" + r.info.status;
   if (metrics_on()) {
@@ -646,8 +651,7 @@ void Bus::send_from(EndpointRef ref, Endpoint& ep,
       cause = ep.owner->request_ctx;
     }
     send_ctx = tracer_->record_at(ep.owner->trace_site, trc::EventKind::kSend,
-                                  ep.owner->info.machine, ep.module,
-                                  ep.spec.name, cause);
+                                  ep.trace_detail, cause);
   }
   if (trace_) trace(TraceEvent::Kind::kSend, ep.module, ep.spec.name);
   if (ep.peers.empty()) {
@@ -747,8 +751,7 @@ std::optional<Message> Bus::receive(EndpointRef ref) {
     // module's next sends inherit this context (request attribution).
     ep->owner->request_ctx = tracer_->record_at(
         ep->owner->trace_site, trc::EventKind::kReceive,
-        ep->owner->info.machine, ep->module,
-        ep->request_terminal ? ep->spec.name + " (terminal)" : ep->spec.name,
+        ep->request_terminal ? ep->trace_terminal_detail : ep->trace_detail,
         msg.trace_ctx);
   }
   return msg;
@@ -997,9 +1000,9 @@ void Bus::note_module_crashed(const std::string& module, std::string detail) {
 
 void Bus::deliver_into(Endpoint& ep, Message msg) {
   if (tracer_on()) {
-    trc::TraceContext deliver_ctx = tracer_->record_at(
-        ep.owner->trace_site, trc::EventKind::kDeliver, ep.owner->info.machine,
-        ep.module, ep.spec.name, msg.trace_ctx);
+    trc::TraceContext deliver_ctx =
+        tracer_->record_at(ep.owner->trace_site, trc::EventKind::kDeliver,
+                           ep.trace_detail, msg.trace_ctx);
     // Request-tagged messages carry the deliver context while queued, so
     // the eventual dequeue can record kReceive with the deliver as cause
     // (queue wait = receive.at - deliver.at). Untagged messages keep their

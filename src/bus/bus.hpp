@@ -451,7 +451,8 @@ class Bus {
   /// While attached and enabled, every send/deliver/drop/retransmit/
   /// signal/state/rebind/lifecycle action records an event with its causal
   /// parents, and outgoing messages carry a TraceContext header. Per-module
-  /// journal slots are pre-resolved here and at add_module.
+  /// journal sites and per-endpoint detail symbols are resolved here and at
+  /// add_module.
   void set_tracer(trc::Recorder* tracer);
   [[nodiscard]] trc::Recorder* tracer() const noexcept { return tracer_; }
 
@@ -509,6 +510,10 @@ class Bus {
     /// path records exactly the same events as before the feature.
     bool request_entry = false;
     bool request_terminal = false;
+    /// Recorder symbols of this endpoint's per-hop details: the iface name,
+    /// and the name plus trc::kTerminalSuffix for a receive at a terminal.
+    trc::Recorder::Symbol trace_detail = 0;
+    trc::Recorder::Symbol trace_terminal_detail = 0;
     /// Compiled adjacency: peers of this endpoint, rebuilt on bind-table
     /// changes only.
     std::vector<PeerLink> peers;
@@ -560,8 +565,10 @@ class Bus {
     /// Unique instance id; in-flight control toward a deleted-and-recreated
     /// name is discarded by comparing it.
     std::uint64_t uid = 0;
-    /// Pre-resolved recorder slot for this module's hot-path events (send,
-    /// deliver); saves two hash lookups per journaled hop.
+    /// Pre-resolved recorder site (machine journal, program order, module
+    /// symbol) for this module's per-hop events (send, deliver, receive):
+    /// with the endpoint's detail symbols, a journaled hop looks up and
+    /// copies no string.
     trc::Recorder::Site trace_site;
     /// Receive context of the last request-tagged message this module
     /// dequeued: subsequent sends inherit its request id (heuristic: a
@@ -651,6 +658,7 @@ class Bus {
   void validate_edit(const BindEdit& edit) const;
   void apply_edit(const BindEdit& edit);
   void resolve_endpoint_metrics(ModuleRec& r);
+  void resolve_trace_symbols(ModuleRec& r);
   [[nodiscard]] bool metrics_on() const noexcept {
     return metrics_ != nullptr && metrics_->enabled();
   }

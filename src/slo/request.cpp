@@ -4,18 +4,6 @@
 
 namespace surgeon::slo {
 
-namespace {
-
-constexpr const char* kTerminalSuffix = " (terminal)";
-
-bool is_terminal_detail(const std::string& detail) {
-  const std::size_t n = std::char_traits<char>::length(kTerminalSuffix);
-  return detail.size() >= n &&
-         detail.compare(detail.size() - n, n, kTerminalSuffix) == 0;
-}
-
-}  // namespace
-
 void RequestTracker::observe(const trace::Event& ev) {
   if (ev.request == 0) return;  // untagged traffic: one branch and out
   switch (ev.kind) {
@@ -78,7 +66,7 @@ void RequestTracker::observe(const trace::Event& ev) {
       open.hop_open = false;
       open.received_at = ev.at;
       open.hops.push_back(std::move(open.pending_hop));
-      if (is_terminal_detail(ev.detail)) {
+      if (trace::is_terminal_detail(ev.detail)) {
         complete(ev.request, std::move(open), ev.at);
         open_.erase(it);
       }

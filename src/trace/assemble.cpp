@@ -181,17 +181,10 @@ std::string events_to_text(const std::vector<Event>& events) {
 
 namespace {
 
-constexpr const char* kTerminalSuffix = " (terminal)";
-
-bool is_terminal_detail(const std::string& detail) {
-  const std::size_t n = std::char_traits<char>::length(kTerminalSuffix);
-  return detail.size() >= n &&
-         detail.compare(detail.size() - n, n, kTerminalSuffix) == 0;
-}
-
 std::string iface_of_detail(const std::string& detail) {
-  const std::size_t n = std::char_traits<char>::length(kTerminalSuffix);
-  if (is_terminal_detail(detail)) return detail.substr(0, detail.size() - n);
+  if (is_terminal_detail(detail)) {
+    return detail.substr(0, detail.size() - kTerminalSuffix.size());
+  }
   return detail;
 }
 

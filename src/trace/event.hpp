@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "net/sim.hpp"
 
@@ -47,6 +48,14 @@ enum class EventKind : std::uint8_t {
 };
 
 const char* kind_name(EventKind kind);
+
+// A kReceive at a request-terminal iface records the iface name with this
+// suffix ("in (terminal)"); the request folds close the request on it.
+inline constexpr std::string_view kTerminalSuffix = " (terminal)";
+
+inline bool is_terminal_detail(std::string_view detail) {
+  return detail.ends_with(kTerminalSuffix);
+}
 
 struct Event {
   EventId id = 0;          // global, ascending in recording order

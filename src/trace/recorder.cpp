@@ -32,9 +32,19 @@ const char* kind_name(EventKind kind) {
 void Recorder::set_capacity(std::size_t per_machine) {
   capacity_ = std::max<std::size_t>(1, per_machine);
   for (auto& [name, journal] : journals_) {
-    while (journal.events.size() > capacity_) {
-      journal.events.pop_front();
-      ++journal.dropped;
+    // Unroll a wrapped ring to oldest-first, so it can grow by appending
+    // again or shed its oldest records from the front.
+    std::vector<Record>& ring = journal.ring;
+    std::rotate(ring.begin(), ring.begin() + journal.head, ring.end());
+    journal.head = 0;
+    if (ring.size() <= capacity_) continue;
+    const std::size_t evicted = ring.size() - capacity_;
+    ring.erase(ring.begin(), ring.begin() + evicted);
+    ring.shrink_to_fit();
+    journal.dropped += evicted;
+    auto& side = journal.side;
+    while (!side.empty() && side.front().first < journal.dropped) {
+      side.pop_front();
     }
   }
 }
@@ -79,74 +89,141 @@ Recorder::Journal& Recorder::journal_of(const std::string& machine) {
     return *cached_journal_;
   }
   auto [it, inserted] = journals_.try_emplace(machine);
-  (void)inserted;
+  if (inserted) it->second.machine = &it->first;
   cached_machine_ = &it->first;
   cached_journal_ = &it->second;
   return it->second;
+}
+
+Recorder::Name& Recorder::name_of(const std::string& text) {
+  auto [it, inserted] = names_.try_emplace(text);
+  if (inserted) {
+    it->second.symbol = static_cast<Symbol>(texts_.size());
+    texts_.push_back(&it->first);
+  }
+  return it->second;
+}
+
+Recorder::Symbol Recorder::intern(const std::string& text) {
+  return name_of(text).symbol;
+}
+
+Recorder::Site Recorder::resolve_site(const std::string& machine,
+                                      const std::string& module) {
+  Name& name = name_of(module);
+  return Site{&journal_of(machine), &name.last, name.symbol};
 }
 
 TraceContext Recorder::record(EventKind kind, const std::string& machine,
                               const std::string& module, std::string detail,
                               const TraceContext& cause) {
   if (!enabled_) return {};
-  return record_impl(journal_of(machine), last_of_module_[module], kind,
-                     machine, module, std::move(detail), cause);
+  Journal& journal = journal_of(machine);
+  Name& name = name_of(module);
+  const Record rec =
+      stamp(journal, name.last, name.symbol, kind, kSideDetail, cause);
+  if (!observers_.empty()) notify(journal, rec, detail);
+  journal.side.emplace_back(write(journal, rec), std::move(detail));
+  return {rec.trace_id, rec.id, rec.lamport, rec.request};
 }
 
-TraceContext Recorder::record_at(Site& site, EventKind kind,
-                                 const std::string& machine,
-                                 const std::string& module, std::string detail,
-                                 const TraceContext& cause) {
+TraceContext Recorder::record_at(const Site& site, EventKind kind,
+                                 Symbol detail, const TraceContext& cause) {
   if (!enabled_) return {};
-  if (site.generation != generation_) {
-    // unordered_map node addresses are stable across inserts, so the
-    // resolved pointers stay good until clear() drops the nodes.
-    site.journal = &journal_of(machine);
-    site.last = &last_of_module_[module];
-    site.generation = generation_;
-  }
-  return record_impl(*site.journal, *site.last, kind, machine, module,
-                     std::move(detail), cause);
+  const Record rec =
+      stamp(*site.journal, *site.last, site.module, kind, detail, cause);
+  if (!observers_.empty()) notify(*site.journal, rec, *texts_[detail]);
+  write(*site.journal, rec);
+  return {rec.trace_id, rec.id, rec.lamport, rec.request};
 }
 
-Recorder::Site Recorder::resolve_site(const std::string& machine,
-                                      const std::string& module) {
-  return Site{&journal_of(machine), &last_of_module_[module], generation_};
-}
-
-TraceContext Recorder::record_impl(Journal& journal, LastEvent& last,
-                                   EventKind kind, const std::string& machine,
-                                   const std::string& module,
-                                   std::string detail,
-                                   const TraceContext& cause) {
-  Event ev;
-  ev.id = next_id_++;
-  ev.parent = last.id;
-  ev.cause = cause.event;
+Recorder::Record Recorder::stamp(Journal& journal, LastEvent& last,
+                                 Symbol module, EventKind kind, Symbol detail,
+                                 const TraceContext& cause) {
+  Record rec;
+  rec.id = next_id_++;
+  rec.parent = last.id;
+  rec.cause = cause.event;
   // Merge over both causal edges: the parent (program order) may live in
   // another machine's journal, so the machine clock alone need not
   // dominate it.
-  ev.lamport =
-      std::max({journal.lamport, last.lamport, cause.lamport}) + 1;
-  journal.lamport = ev.lamport;
-  ev.trace_id = cause.valid() ? cause.trace_id : current_trace_;
+  rec.lamport = std::max({journal.lamport, last.lamport, cause.lamport}) + 1;
+  journal.lamport = rec.lamport;
+  rec.trace_id = cause.valid() ? cause.trace_id : current_trace_;
   // The request rides the cause edge only: a synthetic entry context
   // (event == 0, request != 0) seeds it without creating a false edge.
-  ev.request = cause.request;
-  ev.at = sim_clock_ != nullptr ? sim_clock_->now() : (clock_ ? clock_() : 0);
-  ev.kind = kind;
-  ev.machine = machine;
-  ev.module = module;
-  ev.detail = std::move(detail);
-  last = {ev.id, ev.lamport};
-  TraceContext ctx{ev.trace_id, ev.id, ev.lamport, ev.request};
+  rec.request = cause.request;
+  rec.at = sim_clock_ != nullptr ? sim_clock_->now() : (clock_ ? clock_() : 0);
+  rec.module = module;
+  rec.detail = detail;
+  rec.kind = kind;
+  last = {rec.id, rec.lamport};
+  return rec;
+}
+
+void Recorder::notify(const Journal& journal, const Record& rec,
+                      const std::string& detail) {
+  // An observer that records re-enters here one level deeper and fills
+  // its own scratch Event, leaving this one intact.
+  if (depth_ == scratch_.size()) scratch_.push_back(std::make_unique<Event>());
+  Event& ev = *scratch_[depth_];
+  materialize(journal, rec, detail, ev);
+  struct Nesting {
+    std::size_t& depth;
+    ~Nesting() { --depth; }
+  } nesting{++depth_};
   for (const auto& [id, fn] : observers_) fn(ev);
-  if (journal.events.size() >= capacity_) {
-    journal.events.pop_front();
-    ++journal.dropped;
+}
+
+std::uint64_t Recorder::write(Journal& journal, const Record& rec) {
+  const std::uint64_t pos = journal.dropped + journal.ring.size();
+  std::vector<Record>& ring = journal.ring;
+  if (ring.size() < capacity_) {
+    if (ring.size() == ring.capacity()) {
+      ring.reserve(
+          std::min(capacity_, std::max<std::size_t>(64, 2 * ring.size())));
+    }
+    ring.push_back(rec);
+    return pos;
   }
-  journal.events.push_back(std::move(ev));
-  return ctx;
+  ring[journal.head] = rec;
+  if (++journal.head == ring.size()) journal.head = 0;
+  if (!journal.side.empty() && journal.side.front().first == journal.dropped) {
+    journal.side.pop_front();
+  }
+  ++journal.dropped;
+  return pos;
+}
+
+void Recorder::materialize(const Journal& journal, const Record& rec,
+                           const std::string& detail, Event& out) const {
+  out.id = rec.id;
+  out.parent = rec.parent;
+  out.cause = rec.cause;
+  out.trace_id = rec.trace_id;
+  out.request = rec.request;
+  out.lamport = rec.lamport;
+  out.at = rec.at;
+  out.kind = rec.kind;
+  out.machine = *journal.machine;
+  out.module = *texts_[rec.module];
+  out.detail = detail;
+}
+
+std::vector<Event> Recorder::events_of(const Journal& journal) const {
+  const std::vector<Record>& ring = journal.ring;
+  std::vector<Event> out(ring.size());
+  auto side = journal.side.begin();
+  std::size_t slot = journal.head;
+  for (Event& ev : out) {
+    const Record& rec = ring[slot];
+    if (++slot == ring.size()) slot = 0;
+    materialize(journal, rec,
+                rec.detail == kSideDetail ? (side++)->second
+                                          : *texts_[rec.detail],
+                ev);
+  }
+  return out;
 }
 
 std::vector<std::string> Recorder::machines() const {
@@ -157,36 +234,26 @@ std::vector<std::string> Recorder::machines() const {
   return names;
 }
 
-const std::deque<Event>& Recorder::journal(const std::string& machine) const {
-  static const std::deque<Event> kEmpty;
+std::vector<Event> Recorder::journal(const std::string& machine) const {
   auto it = journals_.find(machine);
-  return it == journals_.end() ? kEmpty : it->second.events;
+  return it == journals_.end() ? std::vector<Event>{}
+                               : events_of(it->second);
 }
 
 std::vector<Event> Recorder::drain(const std::string& machine) {
   auto it = journals_.find(machine);
   if (it == journals_.end()) return {};
-  std::vector<Event> out(it->second.events.begin(), it->second.events.end());
-  it->second.events.clear();
+  Journal& journal = it->second;
+  std::vector<Event> out = events_of(journal);
+  journal.ring.clear();
+  journal.head = 0;
+  journal.side.clear();
   return out;
 }
 
 std::uint64_t Recorder::dropped(const std::string& machine) const {
   auto it = journals_.find(machine);
   return it == journals_.end() ? 0 : it->second.dropped;
-}
-
-void Recorder::clear() {
-  ++generation_;  // any Site a caller still holds re-resolves on next use
-  journals_.clear();
-  cached_machine_ = nullptr;
-  cached_journal_ = nullptr;
-  last_of_module_.clear();
-  trace_names_.clear();
-  next_id_ = 1;
-  next_trace_ = 0;
-  current_trace_ = 0;
-  next_request_ = 0;
 }
 
 }  // namespace surgeon::trace

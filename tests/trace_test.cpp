@@ -1,5 +1,6 @@
 // Unit and integration tests of surgeon::trace: the flight recorder's
-// clocks and ring, causal-context propagation through the bus (including
+// clocks and ring (checked step by step against a deque-of-Events model),
+// causal-context propagation through the bus (including
 // the reliable layer's retransmissions and deduplication), the DAG
 // assembler/exporters, the mh_trace client query, and the online
 // happens-before checker -- both that a clean replacement passes it and
@@ -7,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
+#include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "app/runtime.hpp"
@@ -110,6 +115,243 @@ TEST(Recorder, TraceIdInheritedFromScopeAndFromCause) {
   TraceContext uncaused = rec.record(EventKind::kSend, "vax", "c", "");
   EXPECT_EQ(caused.trace_id, id);
   EXPECT_EQ(uncaused.trace_id, 0u);
+}
+
+auto fields(const Event& ev) {
+  return std::tie(ev.id, ev.parent, ev.cause, ev.trace_id, ev.request,
+                  ev.lamport, ev.at, ev.kind, ev.machine, ev.module,
+                  ev.detail);
+}
+
+TEST(Recorder, ObserverRecordingReentrantlyKeepsItsEvent) {
+  Recorder rec;
+  rec.set_enabled(true);
+  const Recorder::Site site = rec.resolve_site("vax", "client");
+  const Recorder::Symbol out = rec.intern("out");
+  std::vector<Event> after_nesting;
+  std::vector<Event> second_observer;
+  bool nested = false;
+  rec.add_observer([&](const Event& ev) {
+    if (nested) return;
+    nested = true;
+    const Event before = ev;
+    // A nested event on the same machine, with its own id, kind, trace,
+    // request, Lamport clock, module and detail.
+    rec.begin_trace("nested");
+    rec.record(EventKind::kDrop, "vax", "a-much-longer-module-name",
+               "a free-form detail too long for any short-string buffer",
+               TraceContext{0, 0, 0, rec.new_request()});
+    rec.end_trace();
+    EXPECT_TRUE(fields(ev) == fields(before));
+    after_nesting.push_back(ev);
+  });
+  rec.add_observer([&](const Event& ev) { second_observer.push_back(ev); });
+  const TraceContext outer = rec.record_at(site, EventKind::kSend, out);
+  ASSERT_EQ(after_nesting.size(), 1u);
+  EXPECT_EQ(after_nesting[0].id, outer.event);
+  EXPECT_EQ(after_nesting[0].module, "client");
+  EXPECT_EQ(after_nesting[0].detail, "out");
+  // The second observer sees the nested event first (it was recorded from
+  // inside the first observer), then the outer one, unchanged.
+  ASSERT_EQ(second_observer.size(), 2u);
+  EXPECT_EQ(second_observer[0].kind, EventKind::kDrop);
+  EXPECT_EQ(second_observer[1].id, outer.event);
+  EXPECT_EQ(second_observer[1].module, "client");
+  EXPECT_EQ(second_observer[1].detail, "out");
+  // Journal order is insertion order: the nested event entered the ring
+  // before the event whose observer recorded it.
+  const std::vector<Event> journal = rec.journal("vax");
+  ASSERT_EQ(journal.size(), 2u);
+  EXPECT_EQ(journal[0].kind, EventKind::kDrop);
+  EXPECT_EQ(journal[0].detail,
+            "a free-form detail too long for any short-string buffer");
+  EXPECT_EQ(journal[1].id, outer.event);
+  EXPECT_EQ(journal[1].detail, "out");
+}
+
+// Reference model of the journals: one std::deque<Event> per machine,
+// pushed after the observers ran, oldest evicted past the capacity.
+class RecorderModel {
+ public:
+  explicit RecorderModel(std::size_t capacity) : capacity_(capacity) {}
+
+  Event record(EventKind kind, const std::string& machine,
+               const std::string& module, const std::string& detail,
+               const TraceContext& cause, std::uint64_t current_trace,
+               net::SimTime at) {
+    Event ev;
+    ev.id = next_id_++;
+    Recorder::LastEvent& last = last_[module];
+    ev.parent = last.id;
+    ev.cause = cause.event;
+    std::uint64_t& clock = clock_[machine];
+    ev.lamport = std::max({clock, last.lamport, cause.lamport}) + 1;
+    clock = ev.lamport;
+    ev.trace_id = cause.valid() ? cause.trace_id : current_trace;
+    ev.request = cause.request;
+    ev.at = at;
+    ev.kind = kind;
+    ev.machine = machine;
+    ev.module = module;
+    ev.detail = detail;
+    last = {ev.id, ev.lamport};
+    std::deque<Event>& journal = journals_[machine];
+    if (journal.size() >= capacity_) {
+      journal.pop_front();
+      ++dropped_[machine];
+    }
+    journal.push_back(ev);
+    return ev;
+  }
+
+  void set_capacity(std::size_t capacity) {
+    capacity_ = std::max<std::size_t>(1, capacity);
+    for (auto& [machine, journal] : journals_) {
+      while (journal.size() > capacity_) {
+        journal.pop_front();
+        ++dropped_[machine];
+      }
+    }
+  }
+
+  std::vector<Event> journal(const std::string& machine) {
+    const std::deque<Event>& j = journals_[machine];
+    return {j.begin(), j.end()};
+  }
+  std::vector<Event> drain(const std::string& machine) {
+    std::vector<Event> out = journal(machine);
+    journals_[machine].clear();
+    return out;
+  }
+  std::uint64_t dropped(const std::string& machine) {
+    return dropped_[machine];
+  }
+  std::uint64_t total_events() const { return next_id_ - 1; }
+
+ private:
+  std::size_t capacity_;
+  EventId next_id_ = 1;
+  std::map<std::string, std::deque<Event>> journals_;
+  std::map<std::string, std::uint64_t> dropped_;
+  std::map<std::string, std::uint64_t> clock_;
+  std::map<std::string, Recorder::LastEvent> last_;
+};
+
+void expect_same_events(const std::vector<Event>& got,
+                        const std::vector<Event>& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(fields(got[i]) == fields(want[i]))
+        << where << ": event " << i << " id " << got[i].id << " vs "
+        << want[i].id << ", detail '" << got[i].detail << "' vs '"
+        << want[i].detail << "'";
+  }
+}
+
+// Seeded random walk over the recorder's whole surface -- per-hop
+// record_at through resolved Sites and interned details, free-form
+// record, capacity changes across wraps, drains and trace scopes --
+// checked after every step against the deque model.
+TEST(Recorder, CompactRingMatchesTheDequeModel) {
+  constexpr std::size_t kCapacity = 7;
+  const std::vector<std::string> machines = {"m0", "m1", "m2"};
+  const std::vector<std::string> modules = {"client", "filter",
+                                            "a-module-name-past-sso"};
+  const std::vector<std::string> details = {"in", "out",
+                                            "in (terminal)"};
+  std::mt19937_64 rng(20260117);
+  auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  net::SimTime now = 0;
+  Recorder rec;
+  rec.set_enabled(true);
+  rec.set_capacity(kCapacity);
+  rec.set_clock([&now] { return now; });
+  RecorderModel model(kCapacity);
+  std::vector<Event> observed;
+  rec.add_observer([&observed](const Event& ev) { observed.push_back(ev); });
+
+  std::vector<std::vector<Recorder::Site>> sites(machines.size());
+  for (std::size_t m = 0; m < machines.size(); ++m) {
+    for (const std::string& module : modules) {
+      sites[m].push_back(rec.resolve_site(machines[m], module));
+    }
+  }
+  std::vector<Recorder::Symbol> symbols;
+  for (const std::string& d : details) symbols.push_back(rec.intern(d));
+
+  std::vector<TraceContext> contexts;
+  std::uint64_t current_trace = 0;
+  bool wrapped = false;
+  for (int step = 0; step < 4000; ++step) {
+    now += pick(5);
+    TraceContext cause;
+    switch (pick(4)) {
+      case 0: break;  // local event
+      case 1: cause.request = rec.new_request(); break;  // synthetic entry
+      default:
+        if (!contexts.empty()) cause = contexts[pick(contexts.size())];
+    }
+    const std::size_t m = pick(machines.size());
+    const std::size_t mod = pick(modules.size());
+    const auto kind = static_cast<EventKind>(pick(19));
+    const std::size_t op = pick(100);
+    std::string where = "step " + std::to_string(step);
+    if (op < 85) {
+      TraceContext ctx;
+      Event want;
+      if (op < 60) {
+        const std::size_t d = pick(details.size());
+        ctx = rec.record_at(sites[m][mod], kind, symbols[d], cause);
+        want = model.record(kind, machines[m], modules[mod], details[d],
+                            cause, current_trace, now);
+      } else {
+        // Free-form details never repeat; some exceed the short-string
+        // buffer.
+        std::string detail = "drop seq=" + std::to_string(rng());
+        if (pick(3) == 0) detail += " after a retransmit past the window";
+        ctx = rec.record(kind, machines[m], modules[mod], detail, cause);
+        want = model.record(kind, machines[m], modules[mod], detail, cause,
+                            current_trace, now);
+      }
+      ASSERT_EQ(ctx.event, want.id) << where;
+      EXPECT_EQ(ctx.lamport, want.lamport) << where;
+      EXPECT_EQ(ctx.trace_id, want.trace_id) << where;
+      EXPECT_EQ(ctx.request, want.request) << where;
+      ASSERT_FALSE(observed.empty());
+      EXPECT_TRUE(fields(observed.back()) == fields(want))
+          << where << ": observed event " << observed.back().id;
+      contexts.push_back(ctx);
+    } else if (op < 92) {
+      if (!wrapped) continue;
+      const std::size_t capacity = 1 + pick(2 * kCapacity);
+      rec.set_capacity(capacity);
+      model.set_capacity(capacity);
+      where += " set_capacity(" + std::to_string(capacity) + ")";
+    } else if (op < 96) {
+      expect_same_events(rec.drain(machines[m]), model.drain(machines[m]),
+                         where + " drain");
+    } else if (current_trace == 0) {
+      current_trace = rec.begin_trace("scope");
+    } else {
+      rec.end_trace();
+      current_trace = 0;
+    }
+    if (contexts.size() > 64) contexts.erase(contexts.begin());
+    for (const std::string& machine : machines) {
+      expect_same_events(rec.journal(machine), model.journal(machine),
+                         where + " " + machine);
+      EXPECT_EQ(rec.dropped(machine), model.dropped(machine)) << where;
+      wrapped = wrapped || rec.dropped(machine) != 0;
+    }
+    EXPECT_EQ(rec.total_events(), model.total_events()) << where;
+    if (HasFailure()) break;
+  }
+  EXPECT_TRUE(wrapped);
+  EXPECT_EQ(observed.size(), rec.total_events());
+  EXPECT_EQ(rec.machines(), machines);
 }
 
 // --------------------------------------------- propagation through the bus

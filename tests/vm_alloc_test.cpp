@@ -3,9 +3,13 @@
 // This file is its own executable because it replaces the global operator
 // new with a counting one. It runs the counter application on one host --
 // a busy client that keeps one RPC outstanding against the counter server,
-// which recurses through bump() on every request -- with metrics, tracing,
-// print and sleep all out of the picture, so what it counts is VM dispatch,
-// the mh_read/mh_write builtins, bus send/deliver and the event queue.
+// which recurses through bump() on every request -- with metrics, print and
+// sleep all out of the picture, so what it counts is VM dispatch, the
+// mh_read/mh_write builtins, bus send/deliver and the event queue. It runs
+// twice: untraced, and with the causal flight recorder on, a small ring
+// that has wrapped before measuring starts, and an observer reading each
+// Event, so the traced run also counts journaling a hop and building the
+// Event an observer sees.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -76,8 +80,9 @@ void main()
 )mc";
 }
 
-TEST(VmAlloc, SteadyStateRpcIsAllocationFree) {
-  app::Runtime rt(1);
+// Runs the warm-up RPCs, then the measured ones, and reports the heap
+// allocations per measured RPC.
+void run_busy_client(app::Runtime& rt, double* per_rpc) {
   rt.add_machine("vax", net::arch_vax());
   rt.load_application(
       cfg::parse_config(app::samples::counter_config_text()), "counter",
@@ -106,10 +111,38 @@ TEST(VmAlloc, SteadyStateRpcIsAllocationFree) {
   // change a single one: 112 per RPC plus 30 outside the loops.
   EXPECT_EQ(client->instructions_executed() + server->instructions_executed(),
             112u * (kWarmupRpcs + kMeasuredRpcs) + 30u);
-  const double per_rpc = static_cast<double>(after - before) /
-                         static_cast<double>(kMeasuredRpcs);
-  EXPECT_LE(per_rpc, 0.5) << (after - before) << " allocations over "
+  *per_rpc = static_cast<double>(after - before) /
+             static_cast<double>(kMeasuredRpcs);
+}
+
+TEST(VmAlloc, SteadyStateRpcIsAllocationFree) {
+  app::Runtime rt(1);
+  double per_rpc = 0;
+  run_busy_client(rt, &per_rpc);
+  if (HasFatalFailure()) return;
+  EXPECT_LE(per_rpc, 0.5) << per_rpc * kMeasuredRpcs << " allocations over "
                           << kMeasuredRpcs << " RPCs";
+}
+
+TEST(VmAlloc, TracedRpcIsAllocationFree) {
+  app::Runtime rt(1);
+  rt.enable_causal_tracing();
+  // 4 events per RPC: the 1,000 warm-up RPCs wrap this ring several times.
+  rt.tracer().set_capacity(1024);
+  std::size_t module_chars = 0;
+  rt.tracer().add_observer(
+      [&module_chars](const trace::Event& ev) {
+        module_chars += ev.module.size();
+      });
+  double per_rpc = 0;
+  run_busy_client(rt, &per_rpc);
+  if (HasFatalFailure()) return;
+  EXPECT_GE(rt.tracer().total_events(),
+            4u * (kWarmupRpcs + kMeasuredRpcs));
+  EXPECT_GT(rt.tracer().dropped("vax"), 0u);
+  EXPECT_GT(module_chars, 0u);
+  EXPECT_LE(per_rpc, 0.5) << per_rpc * kMeasuredRpcs << " allocations over "
+                          << kMeasuredRpcs << " traced RPCs";
 }
 
 }  // namespace
