@@ -17,10 +17,13 @@
 // 5 ms heartbeats, for 16, 64 and 256 shards (48 to 768 MiniC modules).
 // After 200 warm-up operations the timed region serves the next 1,000
 // acknowledged ones; the reported time (manual) and host_us_per_op cover
-// that region only, so setup and teardown are excluded. Per operation, the
-// work that must grow with the fleet -- one beat per module per heartbeat,
-// one poll per group per router tick -- grows linearly; everything else is
-// paid per operation, so 16x the shards may cost at most 16x per op.
+// that region only, so setup and teardown are excluded. The one piece of
+// work that must grow with the fleet is one beat per live module per
+// heartbeat, and a beat from a module that has not moved is one name
+// compare in the detector. A router tick visits only the groups with an
+// operation in flight or waiting, so it costs the work it finds, and
+// everything else is paid per operation: 16x the shards may cost at most
+// 16x per op, and the heartbeat fan-out is what keeps it above 1x.
 //
 // BM_RingPlace -- the raw consistent-hash placement probe, the per-group
 // price every rebuild and rebalance decision pays.

@@ -91,7 +91,7 @@ void Bus::release_slot(EndpointId slot) {
   ep.owner = nullptr;
   ep.can_send = false;
   ep.can_receive = false;
-  ep.queue.clear();
+  ep.queue.clear();  // owner's `queued` dies with its record (remove_module)
   ep.rx.clear();
   ep.rx_retired = false;
   ep.peers.clear();
@@ -445,6 +445,8 @@ void Bus::apply_edit(const BindEdit& edit) {
         to.queue.push_back(std::move(from.queue.front()));
         from.queue.pop_front();
       }
+      from.owner->queued -= captured;
+      to.owner->queued += captured;
       rec_event(trc::EventKind::kCapture,
                 machine_of_or(edit.b.module, "bus"), edit.b.module,
                 "from=" + edit.a.module + "." + edit.a.iface +
@@ -470,6 +472,7 @@ void Bus::apply_edit(const BindEdit& edit) {
     }
     case BindEdit::Op::kRemoveQueue: {
       Endpoint& ep = endpoint(edit.a.module, edit.a.iface);
+      ep.owner->queued -= ep.queue.size();
       ep.queue.clear();
       ep.rx.clear();
       note_depth(ep);
@@ -744,6 +747,7 @@ std::optional<Message> Bus::receive(EndpointRef ref) {
   if (ep->queue.empty()) return std::nullopt;
   Message msg = std::move(ep->queue.front());
   ep->queue.pop_front();
+  --ep->owner->queued;
   note_depth(*ep);
   if (msg.trace_ctx.request != 0 && tracer_on()) {
     // Queue exit of a tagged request: cause is the deliver event stamped in
@@ -771,6 +775,10 @@ std::size_t Bus::queue_depth(EndpointRef ref) const {
   const Endpoint* ep = deref(ref);
   if (ep == nullptr) throw BusError("query on stale endpoint handle");
   return ep->queue.size();
+}
+
+std::size_t Bus::queued_messages(const std::string& module) const {
+  return rec(module).queued;
 }
 
 // --- reconfiguration signal + state movement ---------------------------------
@@ -1010,6 +1018,7 @@ void Bus::deliver_into(Endpoint& ep, Message msg) {
     if (msg.trace_ctx.request != 0) msg.trace_ctx = deliver_ctx;
   }
   ep.queue.push_back(std::move(msg));
+  ++ep.owner->queued;
   ++stats_.messages_delivered;
   if (metrics_on()) {
     ep.delivered_ctr->inc();

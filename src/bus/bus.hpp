@@ -288,6 +288,10 @@ class Bus {
   [[nodiscard]] std::size_t queue_depth(const std::string& module,
                                         const std::string& iface) const;
   [[nodiscard]] std::size_t queue_depth(EndpointRef ref) const;
+  /// Messages queued across all of a module's interfaces: the sum of
+  /// queue_depth over them, kept as a running count, so a module polling
+  /// many interfaces learns in O(1) whether any of them holds mail.
+  [[nodiscard]] std::size_t queued_messages(const std::string& module) const;
 
   // --- reconfiguration signal + state movement ----------------------------
 
@@ -559,6 +563,9 @@ class Bus {
     ModuleInfo info;
     std::vector<EndpointId> slots;              // this module's endpoints
     std::map<std::string, EndpointId> by_iface; // string-shim resolution
+    /// Messages queued across `slots` (Bus::queued_messages). Every queue
+    /// change adjusts it: deliver_into, receive, queue capture and rmq.
+    std::size_t queued = 0;
     bool reconfig_signaled = false;
     std::optional<std::vector<std::uint8_t>> divulged_state;
     std::optional<std::vector<std::uint8_t>> incoming_state;

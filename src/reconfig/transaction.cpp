@@ -57,12 +57,7 @@ BindEditBatch make_rebind_batch(bus::Bus& bus, const std::string& from,
 }
 
 std::size_t queued_total(bus::Bus& bus, const std::string& module) {
-  std::size_t n = 0;
-  if (!bus.has_module(module)) return n;
-  for (const auto& iface : bus.interface_names(module)) {
-    n += bus.queue_depth(module, iface);
-  }
-  return n;
+  return bus.has_module(module) ? bus.queued_messages(module) : 0;
 }
 
 enum class Progress { kEmpty, kRestoring, kRestored, kCrashed, kFaulted };

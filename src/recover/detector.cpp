@@ -1,5 +1,8 @@
 #include "recover/detector.hpp"
 
+#include <iterator>
+#include <tuple>
+
 namespace surgeon::recover {
 
 std::vector<std::string> FailureDetector::suspects(net::SimTime now) const {
@@ -33,19 +36,26 @@ const char* machine_health_name(MachineHealth h) noexcept {
 void MachineDetector::beat(const std::string& module,
                            const std::string& machine, net::SimTime at) {
   ++beats_;
-  auto [attributed, fresh] = module_machine_.try_emplace(module);
-  if (!fresh && attributed->second->first != machine) {
-    // A module migrating between machines (move_module) must not leave a
-    // stale beat behind on its old host keeping a dead machine "alive".
-    detach(attributed->second, module);
-    fresh = true;
-  }
-  if (fresh) {
-    attributed->second = machines_.try_emplace(machine).first;
-    attributed->second->second.modules.insert(module);
+  ModuleMap::iterator attributed = hint_;
+  if (attributed == module_machine_.end() || attributed->first != module ||
+      attributed->second->first != machine) {
+    bool fresh = false;
+    std::tie(attributed, fresh) = module_machine_.try_emplace(module);
+    if (!fresh && attributed->second->first != machine) {
+      // A module migrating between machines (move_module) must not leave a
+      // stale beat behind on its old host keeping a dead machine "alive".
+      detach(attributed->second, module);
+      fresh = true;
+    }
+    if (fresh) {
+      attributed->second = machines_.try_emplace(machine).first;
+      attributed->second->second.modules.insert(module);
+    }
   }
   MachineRec& rec = attributed->second->second;
   if (at > rec.last) rec.last = at;
+  hint_ = std::next(attributed);
+  if (hint_ == module_machine_.end()) hint_ = module_machine_.begin();
 }
 
 void MachineDetector::detach(MachineMap::iterator machine,
@@ -59,6 +69,7 @@ void MachineDetector::forget_module(const std::string& module) {
   if (attributed == module_machine_.end()) return;
   detach(attributed->second, module);
   module_machine_.erase(attributed);
+  hint_ = module_machine_.end();
 }
 
 void MachineDetector::forget_machine(const std::string& machine) {
@@ -68,6 +79,7 @@ void MachineDetector::forget_machine(const std::string& machine) {
     module_machine_.erase(module);
   }
   machines_.erase(rec);
+  hint_ = module_machine_.end();
 }
 
 MachineHealth MachineDetector::health(const std::string& machine,

@@ -82,12 +82,21 @@ struct MachineDetectorOptions {
 /// module. Module-to-machine attribution comes from the caller (the runtime
 /// carries each process's host on its beat); the detector itself never
 /// touches the bus, so it is testable on bare timestamps like
-/// FailureDetector. Each module's attribution is cached, so a beat from a
-/// module that has not moved is one lookup and one max.
+/// FailureDetector. Each module's attribution is cached, and the runtime
+/// beats its processes in name order -- the attribution map's order -- so
+/// the detector keeps a hint at the attribution it expects next: a beat
+/// from a module that has not moved, arriving in that order, is one name
+/// compare, one host compare and one max. Any other beat (a new module, a
+/// migration, a gap left by a module that stopped beating) is one map
+/// search, after which the hint follows it again.
 class MachineDetector {
  public:
   explicit MachineDetector(MachineDetectorOptions options = {})
       : options_(options) {}
+  /// The hint is an iterator into this detector's own map; a copy would
+  /// carry it into the original's.
+  MachineDetector(const MachineDetector&) = delete;
+  MachineDetector& operator=(const MachineDetector&) = delete;
 
   /// A heartbeat from `module` hosted on `machine` at virtual time `at`.
   void beat(const std::string& module, const std::string& machine,
@@ -144,7 +153,12 @@ class MachineDetector {
   /// record is erased only when no attribution points at it any more
   /// (detach on its last module, or forget_machine dropping them all), so
   /// the cached iterators never dangle.
-  std::map<std::string, MachineMap::iterator> module_machine_;
+  using ModuleMap = std::map<std::string, MachineMap::iterator>;
+  ModuleMap module_machine_;
+  /// Where the next beat is expected: the attribution after the last one
+  /// beaten, wrapping to the first. end() when unset; every erase from
+  /// module_machine_ resets it, so it never names an erased entry.
+  ModuleMap::iterator hint_ = module_machine_.end();
   std::uint64_t beats_ = 0;
 };
 

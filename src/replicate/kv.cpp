@@ -137,8 +137,8 @@ void KvRouter::nudge(std::size_t group) {
 
 std::size_t KvRouter::pending_ops() const noexcept {
   std::size_t n = 0;
-  for (const Group& g : groups_) {
-    n += g.waiting.size() + (g.inflight.has_value() ? 1 : 0);
+  for (std::size_t g : active_) {
+    n += groups_[g].waiting.size() + (groups_[g].inflight.has_value() ? 1 : 0);
   }
   return n;
 }
@@ -193,11 +193,12 @@ void KvRouter::progress(std::size_t g) {
   PendingOp& op = *group.inflight;
   // Completion is judged against the CURRENT membership: a rebuild that
   // swapped members mid-operation means the heir must reply too (the retry
-  // below re-fans the operation so it can).
-  const std::vector<std::string> now_members = members(g);
-  bool complete = !now_members.empty();
-  for (const auto& m : now_members) {
-    if (!op.replies.contains(m)) {
+  // below re-fans the operation so it can). Peers come in bind-table
+  // order; nothing below depends on it.
+  const std::vector<BindingEnd> peers = bus_->bound_peers(group_port(g));
+  bool complete = !peers.empty();
+  for (const BindingEnd& peer : peers) {
+    if (!op.replies.contains(peer.module)) {
       complete = false;
       break;
     }
@@ -213,11 +214,12 @@ void KvRouter::progress(std::size_t g) {
   std::int64_t result = op.value;
   if (op.op != 1) {
     // GET agreement: members that disagree mean some replica serves a
-    // stale value -- invariant 7's "committed write resurfaces" half.
-    result = op.replies.at(now_members.front());
+    // stale value -- invariant 7's "committed write resurfaces" half. The
+    // fold is order-free: the largest reply, agreed when all are equal.
+    result = op.replies.at(peers.front().module);
     bool agree = true;
-    for (const auto& m : now_members) {
-      const std::int64_t v = op.replies.at(m);
+    for (const BindingEnd& peer : peers) {
+      const std::int64_t v = op.replies.at(peer.module);
       if (v != result) agree = false;
       result = std::max(result, v);
     }
@@ -246,12 +248,26 @@ void KvRouter::tick() {
     op.accepted_at = bus_->simulator().now();
     const std::size_t g =
         static_cast<std::size_t>(op.key) % (shards_ == 0 ? 1 : shards_);
+    if (groups_[g].idle()) {
+      active_.insert(std::lower_bound(active_.begin(), active_.end(), g), g);
+    }
     groups_[g].waiting.push_back(std::move(op));
   }
-  for (std::size_t g = 0; g < shards_; ++g) {
+  // Replies can also land at an idle group (nudge echoes, replies to a
+  // re-fan after the ack); a full poll would drain them into late_replies.
+  // When the router holds more mail than its active groups do, this tick
+  // is that full poll. Either way groups go in ascending order: fan-outs
+  // consume fault draws and stream sequence numbers in send order.
+  std::size_t active_mail = 0;
+  for (std::size_t g : active_) active_mail += bus_->queue_depth(group_port(g));
+  const bool idle_mail = bus_->queued_messages(module_) > active_mail;
+  const std::size_t visits = idle_mail ? shards_ : active_.size();
+  for (std::size_t i = 0; i < visits; ++i) {
+    const std::size_t g = idle_mail ? i : active_[i];
     absorb_replies(g);
     progress(g);
   }
+  std::erase_if(active_, [this](std::size_t g) { return groups_[g].idle(); });
 }
 
 // --- KvClient ----------------------------------------------------------------

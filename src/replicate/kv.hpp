@@ -90,6 +90,14 @@ struct KvLatencySample {
 /// replied to its sequence number -- membership is re-read from the bus on
 /// every check, so a rebuild that swaps members mid-operation simply
 /// extends the ack set the operation must collect (fed by the retry tick).
+///
+/// A tick costs the groups with work, not the fleet: it drains `cli`, then
+/// visits only the active groups (an operation in flight or waiting), in
+/// ascending order, and checks completion against the group's bound peers
+/// with no sorted copy. Mail at an idle group (nudge echoes, replies to a
+/// re-fan after the ack) still goes on the next tick: when the bus's
+/// queued count for the router exceeds what the active groups hold, that
+/// tick visits every group, as a full poll would.
 class KvRouter {
  public:
   KvRouter(bus::Bus& bus, std::string machine, std::size_t shards,
@@ -104,7 +112,8 @@ class KvRouter {
   [[nodiscard]] static std::string group_iface(std::size_t group) {
     return "g" + std::to_string(group);
   }
-  /// Current members of a group: the modules bound to its interface.
+  /// Current members of a group, sorted: the modules bound to its
+  /// interface. For callers outside the tick; progress reads the peers.
   [[nodiscard]] std::vector<std::string> members(std::size_t group) const;
 
   /// Sends a side-effect-free GET (seq 0, discarded on reply) into a group
@@ -131,13 +140,17 @@ class KvRouter {
   struct Group {
     std::optional<PendingOp> inflight;
     std::deque<PendingOp> waiting;
+    [[nodiscard]] bool idle() const noexcept {
+      return !inflight && waiting.empty();
+    }
   };
 
   void schedule_tick();
   void tick();
-  /// Endpoint handle of group `g`'s interface. Polls and fan-outs go
-  /// through it, so a tick resolves no interface names; it re-resolves
-  /// only when the bus reports it stale.
+  /// Endpoint handle of group `g`'s interface. Polls, fan-outs and peer
+  /// reads go through it, so a tick resolves no interface names and
+  /// touches only the active groups' handles; it re-resolves only when the
+  /// bus reports it stale.
   [[nodiscard]] bus::EndpointRef group_port(std::size_t g) const;
   void fan_out(std::size_t g, PendingOp& op);
   void absorb_replies(std::size_t g);
@@ -150,6 +163,8 @@ class KvRouter {
   net::SimTime tick_us_;
   net::SimTime retry_us_;
   std::vector<Group> groups_;
+  /// Groups with an operation in flight or waiting, ascending.
+  std::vector<std::size_t> active_;
   mutable std::vector<bus::EndpointRef> group_ports_;
   KvRouterStats stats_;
   std::vector<KvLatencySample> latencies_;

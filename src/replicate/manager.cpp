@@ -51,7 +51,6 @@ void GroupManager::start() {
         // (rebalance: a new process under a new name) vouches for its new
         // host only.
         detector_.beat(module, host, at);
-        if (options_.extra_beat) options_.extra_beat(module, at);
       });
   rt_->simulator().schedule_after(options_.sweep_interval_us,
                                   [this, epoch] { sweep(epoch); });

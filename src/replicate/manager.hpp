@@ -36,9 +36,6 @@ struct ManagerOptions {
   net::SimTime drain_us = 10'000;
   net::SimTime divulge_timeout_us = 5'000'000;
   net::SimTime restore_timeout_us = 10'000'000;
-  /// Extra observer on every heartbeat (the chaos harness's liveness
-  /// checker rides along here, since the runtime has one sink slot).
-  std::function<void(const std::string&, net::SimTime)> extra_beat;
 };
 
 struct ManagerStats {

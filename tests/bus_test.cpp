@@ -155,6 +155,69 @@ TEST_F(BusTest, QueueCaptureMovesMessages) {
   EXPECT_EQ(bus_.receive("b2", "in")->values[0].as_int(), 1);
 }
 
+// queued_messages is a running count, not a sum taken on demand: it must
+// equal the sum of queue_depth over the module's interfaces after every
+// kind of queue change.
+TEST_F(BusTest, QueuedMessagesStaysTheSumOfQueueDepths) {
+  const auto expect_exact = [this](const std::string& module,
+                                   std::size_t want, const char* after) {
+    std::size_t sum = 0;
+    for (const auto& iface : bus_.interface_names(module)) {
+      sum += bus_.queue_depth(module, iface);
+    }
+    EXPECT_EQ(sum, want) << module << " after " << after;
+    EXPECT_EQ(bus_.queued_messages(module), want) << module << " after "
+                                                  << after;
+  };
+  ModuleInfo b = make_module("b", "sparc");
+  b.interfaces.push_back(InterfaceSpec{"in2", IfaceRole::kUse, "i", ""});
+  ModuleInfo heir = b;
+  heir.name = "b2";
+  bus_.add_module(make_module("a", "vax"));
+  bus_.add_module(std::move(b));
+  bus_.add_module(std::move(heir));
+  bus_.add_binding({"a", "out"}, {"b", "in"});
+  bus_.add_binding({"a", "out"}, {"b", "in2"});
+  expect_exact("b", 0, "add_module");
+
+  for (std::int64_t v = 0; v < 3; ++v) {
+    bus_.send("a", "out", {ser::Value(v)});
+  }
+  sim_.run();
+  expect_exact("b", 6, "deliver");  // each send reaches in and in2
+  expect_exact("a", 0, "deliver");
+
+  ASSERT_TRUE(bus_.receive("b", "in").has_value());
+  expect_exact("b", 5, "receive");
+  EXPECT_FALSE(bus_.receive("a", "in").has_value());
+  expect_exact("a", 0, "an empty receive");
+
+  BindEditBatch capture;
+  capture.add(BindEdit{BindEdit::Op::kDel, {"a", "out"}, {"b", "in"}});
+  capture.add(BindEdit{BindEdit::Op::kAdd, {"a", "out"}, {"b2", "in"}});
+  capture.add(BindEdit{BindEdit::Op::kCaptureQueue, {"b", "in"}, {"b2", "in"}});
+  bus_.rebind(capture);
+  expect_exact("b", 3, "queue capture (source)");
+  expect_exact("b2", 2, "queue capture (destination)");
+
+  BindEditBatch rmq;
+  rmq.add(BindEdit{BindEdit::Op::kRemoveQueue, {"b", "in2"}, {}});
+  bus_.rebind(rmq);
+  expect_exact("b", 0, "rmq");
+  expect_exact("b2", 2, "rmq of another module");
+
+  bus_.send("a", "out", {ser::Value(std::int64_t{9})});
+  sim_.run();
+  expect_exact("b", 1, "deliver after the rebind");
+  expect_exact("b2", 3, "deliver after the rebind");
+
+  bus_.remove_module("b");  // with a message still queued at in2
+  EXPECT_THROW((void)bus_.queued_messages("b"), BusError);
+  expect_exact("b2", 3, "remove_module of a peer");
+  bus_.add_module(make_module("b", "sparc"));
+  expect_exact("b", 0, "re-adding a removed name");
+}
+
 TEST_F(BusTest, RemoveModuleDropsBindingsAndInFlight) {
   add_pair();
   bus_.send("a", "out", {ser::Value(std::int64_t{7})});

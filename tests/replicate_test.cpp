@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -220,6 +223,193 @@ TEST(MachineDetectorTest, MigrationAfterTheOldMachineWasErased) {
   EXPECT_EQ(det.tracked_machines(), 0u);
 }
 
+/// MachineDetector's semantics without the beat hint: every beat searches
+/// the attribution map. The randomized test below holds the detector to it.
+class ModelDetector {
+ public:
+  explicit ModelDetector(MachineDetectorOptions options) : options_(options) {}
+
+  void beat(const std::string& module, const std::string& machine,
+            net::SimTime at) {
+    ++beats_;
+    auto host = host_of_.find(module);
+    if (host == host_of_.end() || host->second != machine) {
+      if (host != host_of_.end()) detach(host->second, module);
+      host_of_[module] = machine;
+      machines_[machine].modules.insert(module);
+    }
+    Rec& rec = machines_[machine];
+    rec.last = std::max(rec.last, at);
+  }
+  void forget_module(const std::string& module) {
+    auto host = host_of_.find(module);
+    if (host == host_of_.end()) return;
+    detach(host->second, module);
+    host_of_.erase(host);
+  }
+  void forget_machine(const std::string& machine) {
+    auto rec = machines_.find(machine);
+    if (rec == machines_.end()) return;
+    for (const std::string& module : rec->second.modules) {
+      host_of_.erase(module);
+    }
+    machines_.erase(rec);
+  }
+
+  [[nodiscard]] MachineHealth health(const std::string& machine,
+                                     net::SimTime now) const {
+    auto rec = machines_.find(machine);
+    if (rec == machines_.end() || now <= rec->second.last) {
+      return MachineHealth::kAlive;
+    }
+    const net::SimTime silence = now - rec->second.last;
+    if (silence > options_.confirm_timeout_us) return MachineHealth::kConfirmed;
+    if (silence > options_.suspicion_timeout_us) return MachineHealth::kSuspect;
+    return MachineHealth::kAlive;
+  }
+  [[nodiscard]] std::vector<std::string> in_state(MachineHealth h,
+                                                  net::SimTime now) const {
+    std::vector<std::string> out;
+    for (const auto& [machine, rec] : machines_) {
+      if (health(machine, now) == h) out.push_back(machine);
+    }
+    return out;
+  }
+  [[nodiscard]] std::vector<std::string> modules_on(
+      const std::string& machine) const {
+    auto rec = machines_.find(machine);
+    if (rec == machines_.end()) return {};
+    return {rec->second.modules.begin(), rec->second.modules.end()};
+  }
+  [[nodiscard]] std::optional<net::SimTime> last_beat(
+      const std::string& machine) const {
+    auto rec = machines_.find(machine);
+    if (rec == machines_.end()) return std::nullopt;
+    return rec->second.last;
+  }
+  [[nodiscard]] std::vector<std::string> machine_names() const {
+    std::vector<std::string> out;
+    for (const auto& [machine, rec] : machines_) out.push_back(machine);
+    return out;
+  }
+  [[nodiscard]] std::uint64_t beats() const noexcept { return beats_; }
+
+ private:
+  struct Rec {
+    net::SimTime last = 0;
+    std::set<std::string> modules;
+  };
+  void detach(const std::string& machine, const std::string& module) {
+    auto rec = machines_.find(machine);
+    rec->second.modules.erase(module);
+    if (rec->second.modules.empty()) machines_.erase(rec);
+  }
+
+  MachineDetectorOptions options_;
+  std::map<std::string, Rec> machines_;
+  std::map<std::string, std::string> host_of_;
+  std::uint64_t beats_ = 0;
+};
+
+void expect_same_detector(const MachineDetector& det,
+                          const ModelDetector& model,
+                          const std::vector<std::string>& machines,
+                          net::SimTime now, const std::string& where) {
+  EXPECT_EQ(det.machine_names(), model.machine_names()) << where;
+  EXPECT_EQ(det.tracked_machines(), model.machine_names().size()) << where;
+  EXPECT_EQ(det.beats_observed(), model.beats()) << where;
+  const net::SimTime suspect_at = now + det.options().suspicion_timeout_us + 1;
+  const net::SimTime confirm_at = now + det.options().confirm_timeout_us + 1;
+  for (const net::SimTime at : {now, suspect_at, confirm_at}) {
+    EXPECT_EQ(det.suspects(at), model.in_state(MachineHealth::kSuspect, at))
+        << where << " at " << at;
+    EXPECT_EQ(det.confirmed(at), model.in_state(MachineHealth::kConfirmed, at))
+        << where << " at " << at;
+    for (const std::string& m : machines) {
+      EXPECT_EQ(det.health(m, at), model.health(m, at))
+          << where << " " << m << " at " << at;
+    }
+  }
+  for (const std::string& m : machines) {
+    EXPECT_EQ(det.modules_on(m), model.modules_on(m)) << where << " " << m;
+    EXPECT_EQ(det.last_beat(m), model.last_beat(m)) << where << " " << m;
+  }
+}
+
+// The detector's beat hint against the map-search model: 40 modules on 6
+// machines beating in name order (the runtime's order, where the hint
+// hits), shuffled, or with modules missing; a machine going silent now
+// and then; migrations, forget_module and forget_machine between and
+// within ticks, often aimed at the module the hint expects next. Every
+// query is compared after every step.
+TEST(MachineDetectorTest, BeatHintMatchesTheMapSearchModel) {
+  MachineDetectorOptions opts;
+  opts.suspicion_timeout_us = 30'000;
+  opts.confirm_timeout_us = 60'000;
+  MachineDetector det(opts);
+  ModelDetector model(opts);
+  std::mt19937_64 rng(16);
+  constexpr std::size_t kModules = 40;
+  std::vector<std::string> machines;
+  for (int m = 0; m < 6; ++m) machines.push_back("h" + std::to_string(m));
+  std::vector<std::string> modules;
+  std::vector<std::string> host;
+  for (std::size_t i = 0; i < kModules; ++i) {
+    modules.push_back((i < 10 ? "mod0" : "mod") + std::to_string(i));
+    host.push_back(machines[rng() % machines.size()]);
+  }
+  const auto any_machine = [&] { return machines[rng() % machines.size()]; };
+  const auto forget_module = [&](const std::string& module) {
+    det.forget_module(module);
+    model.forget_module(module);
+  };
+  const auto forget_machine = [&](const std::string& machine) {
+    det.forget_machine(machine);
+    model.forget_machine(machine);
+  };
+
+  std::string silent;  // a machine whose modules stop beating for a while
+  net::SimTime now = 0;
+  for (int tick = 0; tick < 300 && !HasFailure(); ++tick) {
+    now += 5'000;
+    if (tick % 40 == 0) silent = any_machine();
+    if (tick % 40 == 20) silent.clear();
+    std::vector<std::size_t> order(kModules);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    const auto mode = rng() % 4;  // 0, 1 name order; 2 shuffled; 3 gaps
+    if (mode == 2) std::shuffle(order.begin(), order.end(), rng);
+    for (const std::size_t i : order) {
+      if (mode == 3 && rng() % 4 == 0) continue;
+      if (host[i] == silent) continue;
+      const std::string where = "tick " + std::to_string(tick) + " " +
+                                modules[i] + "@" + host[i];
+      const auto roll = rng() % 100;
+      if (roll < 4) {
+        host[i] = any_machine();  // migrates before this beat
+      } else if (roll < 7) {
+        forget_module(modules[i]);  // the entry the hint expects
+      } else if (roll < 9) {
+        forget_machine(host[i]);
+      } else if (roll < 10) {
+        forget_module(modules[rng() % kModules]);
+      } else if (roll < 11) {
+        forget_machine(any_machine());
+      }
+      expect_same_detector(det, model, machines, now, where + " (before)");
+      det.beat(modules[i], host[i], now);
+      model.beat(modules[i], host[i], now);
+      expect_same_detector(det, model, machines, now, where);
+      if (HasFailure()) break;
+    }
+    const auto roll = rng() % 10;
+    if (roll == 0) forget_module(modules[rng() % kModules]);
+    if (roll == 1) forget_machine(any_machine());
+    expect_same_detector(det, model, machines, now,
+                         "after tick " + std::to_string(tick));
+  }
+  EXPECT_GT(det.beats_observed(), 8'000u);
+}
+
 // --- KV workload -------------------------------------------------------------
 
 struct KvFixture {
@@ -312,6 +502,126 @@ TEST(Kv, PlacementUsesRingAndDistinctMachines) {
   for (std::size_t g = 0; g < 6; ++g) {
     EXPECT_EQ(service.placements()[g],
               expected.place(replicate::kv_group_key(g), 3));
+  }
+}
+
+// --- router ticks ------------------------------------------------------------
+
+/// A native module bound to the router's `cli` interface, submitting
+/// operations by hand once the service's own client has finished.
+class CliProbe {
+ public:
+  CliProbe(app::Runtime& rt, KvService& service) : rt_(&rt) {
+    bus::ModuleInfo info;
+    info.name = kName;
+    info.machine = service.options().control_machine;
+    info.interfaces.push_back(
+        bus::InterfaceSpec{"req", bus::IfaceRole::kClient, "iiii", "iiii"});
+    rt.bus().add_module(std::move(info));
+    rt.bus().add_binding({kName, "req"},
+                         {service.router().module_name(), "cli"});
+  }
+  void send(std::int64_t op, std::int64_t seq, std::int64_t key,
+            std::int64_t value) {
+    rt_->bus().send(kName, "req",
+                    {ser::Value{op}, ser::Value{seq}, ser::Value{key},
+                     ser::Value{value}});
+  }
+  /// Runs until the router acks; returns the acked value.
+  std::int64_t await_ack() {
+    EXPECT_TRUE(rt_->run_until(
+        [&] { return rt_->bus().has_message(kName, "req"); }, 50'000'000));
+    const auto ack = rt_->bus().receive(kName, "req");
+    return ack.has_value() ? ack->values[3].as_int() : -1;
+  }
+
+ private:
+  static constexpr const char* kName = "cli-probe";
+  app::Runtime* rt_;
+};
+
+// A tick visits only groups with an operation in flight or waiting, so mail
+// landing at an idle group must still go on the next tick, as a full poll
+// would take it: the router's queued count exceeds the active groups'.
+TEST(KvRouterTick, IdleMailIsDrainedOnTheNextTick) {
+  KvFixture f(11, 3, 2, {"m0", "m1", "m2"});
+  KvService service(f.rt, f.options);
+  service.launch(12);
+  ASSERT_TRUE(service.run_to_completion(10'000'000, 50'000'000));
+  replicate::KvRouter& router = service.router();
+  bus::Bus& bus = f.rt.bus();
+  ASSERT_EQ(router.pending_ops(), 0u);  // every group idle
+  const std::string port = replicate::KvRouter::group_iface(1);
+  const auto late_before = router.stats().late_replies;
+
+  // Two deliveries into the members, two echoes back into group 1's port.
+  const auto delivered = bus.stats().messages_delivered;
+  router.nudge(1);
+  ASSERT_TRUE(f.rt.run_until(
+      [&] { return bus.stats().messages_delivered >= delivered + 4; },
+      50'000'000));
+  EXPECT_GT(bus.queue_depth(router.module_name(), port), 0u);
+  f.rt.run_for(f.options.tick_us, 50'000'000);
+  EXPECT_EQ(bus.queue_depth(router.module_name(), port), 0u);
+  EXPECT_EQ(bus.queued_messages(router.module_name()), 0u);
+  EXPECT_EQ(router.stats().late_replies, late_before);  // echoes: seq 0
+
+  // The next operations on that group ack normally.
+  CliProbe probe(f.rt, service);
+  const auto puts = router.stats().acked_puts;
+  probe.send(1, 9'001, 1, 4'242);  // key 1 lives in group 1
+  EXPECT_EQ(probe.await_ack(), 4'242);
+  probe.send(2, 9'002, 1, 0);
+  EXPECT_EQ(probe.await_ack(), 4'242);
+  EXPECT_EQ(router.stats().acked_puts, puts + 1);
+  EXPECT_EQ(router.stats().stale_gets, 0u);
+  EXPECT_EQ(router.pending_ops(), 0u);
+}
+
+// Completion reads the group's peers in bind-table order, not sorted by
+// name; the GET fold must not care. A native member that answers a GET
+// with its own value makes the members disagree: one stale GET, acked
+// with the largest reply, whether the liar sorts before or after the real
+// members and whether its value is above or below theirs.
+TEST(KvRouterTick, StaleGetCountsOnceAndAcksTheLargestReply) {
+  for (const char* liar : {"a-liar", "z-liar"}) {
+    for (const std::int64_t lie : {std::int64_t{100}, std::int64_t{900}}) {
+      const std::string tag = std::string(liar) + " says " +
+                              std::to_string(lie);
+      KvFixture f(11, 3, 2, {"m0", "m1", "m2"});
+      KvService service(f.rt, f.options);
+      service.launch(12);
+      ASSERT_TRUE(service.run_to_completion(10'000'000, 50'000'000)) << tag;
+      replicate::KvRouter& router = service.router();
+      bus::Bus& bus = f.rt.bus();
+      CliProbe probe(f.rt, service);
+      probe.send(1, 9'001, 1, 500);
+      ASSERT_EQ(probe.await_ack(), 500) << tag;
+      ASSERT_EQ(router.stats().stale_gets, 0u) << tag;
+
+      bus::ModuleInfo info;
+      info.name = liar;
+      info.machine = f.options.control_machine;
+      info.interfaces.push_back(
+          bus::InterfaceSpec{"req", bus::IfaceRole::kServer, "iiii", "iiii"});
+      bus.add_module(std::move(info));
+      bus.add_binding({liar, "req"},
+                      {router.module_name(),
+                       replicate::KvRouter::group_iface(1)});
+      const auto gets = router.stats().acked_gets;
+      probe.send(2, 9'002, 1, 0);
+      ASSERT_TRUE(f.rt.run_until([&] { return bus.has_message(liar, "req"); },
+                                 50'000'000))
+          << tag;
+      const auto get = bus.receive(liar, "req");
+      ASSERT_TRUE(get.has_value()) << tag;
+      bus.send(liar, "req",
+               {get->values[0], get->values[1], get->values[2],
+                ser::Value{lie}});
+      EXPECT_EQ(probe.await_ack(), std::max<std::int64_t>(500, lie)) << tag;
+      EXPECT_EQ(router.stats().stale_gets, 1u) << tag;
+      EXPECT_EQ(router.stats().acked_gets, gets + 1) << tag;
+    }
   }
 }
 
