@@ -14,15 +14,18 @@
 //   --update <module>=<src.mc>@<t>   hot-swap module for a new version
 //   --optimize                 run the optimizer after the transformation
 //   --liveness                 capture live variables only
-//   --trace                    print every module's output with timestamps
+//   --trace                    print the flight recorder's causal timeline
+//                              and every module's full output
 //   --seed <n>                 simulation seed (default 1)
 //
 // Example (the paper's Figure 1 reconfiguration):
 //   mh_run examples/apps/monitor/monitor.cfg monitor --for 40 [newline]
 //       --move compute:sparc@12
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include <algorithm>
@@ -34,6 +37,7 @@
 #include "minic/sema.hpp"
 #include "opt/optimizer.hpp"
 #include "reconfig/scripts.hpp"
+#include "trace/assemble.hpp"
 #include "vm/compiler.hpp"
 #include "xform/transform.hpp"
 
@@ -77,6 +81,28 @@ std::string read_file(const std::filesystem::path& path) {
   return ss.str();
 }
 
+// Virtual seconds: the whole text a finite, non-negative number whose
+// microseconds fit a SimTime.
+std::optional<net::SimTime> parse_seconds(const std::string& text) {
+  double secs = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, secs);
+  const double us = secs * 1'000'000.0;
+  if (ec != std::errc{} || ptr != end || !(us >= 0 && us < 0x1p64)) {
+    return std::nullopt;
+  }
+  return static_cast<net::SimTime>(us);
+}
+
+// A seed: decimal digits only, within 64 bits.
+std::optional<std::uint64_t> parse_seed(const std::string& text) {
+  std::uint64_t seed = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, seed);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return seed;
+}
+
 bool parse_args(int argc, char** argv, Options& opts) {
   std::vector<std::string> args(argv + 1, argv + argc);
   std::vector<std::string> positional;
@@ -86,9 +112,15 @@ bool parse_args(int argc, char** argv, Options& opts) {
       if (i + 1 >= args.size()) throw support::Error(a + " needs a value");
       return args[++i];
     };
+    auto bad_value = [&a](const std::string& value) {
+      std::cerr << "error: bad " << a << " value '" << value << "'\n";
+      return false;
+    };
     if (a == "--for") {
-      opts.run_for_us =
-          static_cast<net::SimTime>(std::stod(next()) * 1'000'000.0);
+      const std::string value = next();
+      const auto us = parse_seconds(value);
+      if (!us) return bad_value(value);
+      opts.run_for_us = *us;
     } else if (a == "--machines") {
       opts.machines = support::split(next(), ',');
     } else if (a == "--move" || a == "--replace" || a == "--update") {
@@ -98,8 +130,9 @@ bool parse_args(int argc, char** argv, Options& opts) {
         throw support::Error(a + " needs <module>[...]@<sec>");
       }
       ScheduledAction action;
-      action.at_us = static_cast<net::SimTime>(
-          std::stod(spec.substr(at_pos + 1)) * 1'000'000.0);
+      const auto at_us = parse_seconds(spec.substr(at_pos + 1));
+      if (!at_us) return bad_value(spec);
+      action.at_us = *at_us;
       std::string target = spec.substr(0, at_pos);
       if (a == "--move") {
         auto colon = target.find(':');
@@ -126,7 +159,10 @@ bool parse_args(int argc, char** argv, Options& opts) {
     } else if (a == "--trace") {
       opts.trace = true;
     } else if (a == "--seed") {
-      opts.seed = std::stoull(next());
+      const std::string value = next();
+      const auto seed = parse_seed(value);
+      if (!seed) return bad_value(value);
+      opts.seed = *seed;
     } else if (!a.empty() && a[0] == '-') {
       return false;
     } else {
@@ -164,7 +200,7 @@ int main(int argc, char** argv) {
                 << "-endian)\n";
     }
 
-    if (opts.trace) rt.enable_tracing();
+    if (opts.trace) rt.enable_causal_tracing();
     std::filesystem::path base =
         std::filesystem::path(opts.config_path).parent_path();
     cfg::ConfigFile config = cfg::parse_config(read_file(opts.config_path));
@@ -231,10 +267,15 @@ int main(int argc, char** argv) {
     rt.check_faults();
 
     if (opts.trace) {
-      std::cout << "---- bus trace (" << rt.trace().size() << " events)\n";
-      for (const auto& ev : rt.trace()) {
-        std::cout << "  " << ev.to_string() << "\n";
+      const trace::Dag dag = trace::assemble(rt.tracer());
+      std::uint64_t evicted = 0;
+      for (const auto& machine : rt.tracer().machines()) {
+        evicted += rt.tracer().dropped(machine);
       }
+      std::cout << "---- recorder timeline (" << dag.events.size()
+                << " events";
+      if (evicted != 0) std::cout << ", " << evicted << " oldest evicted";
+      std::cout << ")\n" << trace::to_timeline(dag);
     }
     std::cout << "---- finished at t=" << rt.now() / 1e6 << "s; "
               << rt.bus().stats().messages_delivered

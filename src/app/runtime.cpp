@@ -22,18 +22,6 @@ Runtime::Runtime(std::uint64_t seed) : sim_(seed), bus_(sim_), seed_(seed) {
   bus_.set_tracer(&tracer_);
 }
 
-void Runtime::record_trace(const bus::TraceEvent& ev) {
-  if (trace_.size() >= trace_capacity_) {
-    ++trace_dropped_;
-    if (metrics_.enabled()) {
-      metrics_.counter("surgeon_trace_dropped_total").inc();
-    }
-    if (trace_capacity_ == 0) return;
-    trace_.pop_front();
-  }
-  trace_.push_back(ev);
-}
-
 void Runtime::publish_vm_metrics(ProcessRec& rec, std::uint64_t instructions) {
   const vm::Machine& m = *rec.machine;
   rec.insn_ctr->inc(instructions);

@@ -9,7 +9,6 @@
 // cost. Everything is deterministic for a given seed.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -153,28 +152,6 @@ class Runtime {
   /// Runs until nothing can make progress.
   void run_until_idle(std::uint64_t max_rounds = 1'000'000);
 
-  /// Starts recording every bus event (messages, signals, state movement,
-  /// bind-table changes, module lifecycle) with virtual timestamps. The
-  /// buffer is a bounded ring (set_trace_capacity): when full, the oldest
-  /// events are discarded and counted, so long-running applications do not
-  /// grow memory without limit.
-  void enable_tracing() {
-    bus_.set_trace([this](const bus::TraceEvent& ev) { record_trace(ev); });
-  }
-  [[nodiscard]] const std::deque<bus::TraceEvent>& trace() const noexcept {
-    return trace_;
-  }
-  /// Ring capacity of the trace buffer. The default (1M events) is large
-  /// enough that every existing test and example sees every event.
-  void set_trace_capacity(std::size_t capacity) noexcept {
-    trace_capacity_ = capacity;
-  }
-  /// Events discarded because the trace ring was full (also exported as
-  /// the surgeon_trace_dropped_total counter when metrics are enabled).
-  [[nodiscard]] std::uint64_t trace_dropped() const noexcept {
-    return trace_dropped_;
-  }
-
   // --- observability ----------------------------------------------------------
 
   /// The platform metrics registry: attached to the bus and the scheduler
@@ -188,9 +165,8 @@ class Runtime {
   /// The causal flight recorder (trace/recorder.hpp): attached to the bus
   /// at construction, disabled -- messages carry no headers and no events
   /// record -- until enable_causal_tracing() is called. Like the metrics
-  /// registry it runs on the virtual clock. Distinct from enable_tracing()
-  /// above, which streams flat legacy TraceEvents without causal edges.
-  [[nodiscard]] ::surgeon::trace::Recorder& tracer() noexcept { return tracer_; }
+  /// registry it runs on the virtual clock.
+  [[nodiscard]] trace::Recorder& tracer() noexcept { return tracer_; }
   void enable_causal_tracing() noexcept { tracer_.set_enabled(true); }
   void disable_causal_tracing() noexcept { tracer_.set_enabled(false); }
 
@@ -295,7 +271,6 @@ class Runtime {
   void heartbeat_tick(std::uint64_t epoch);
   void profile_tick(std::uint64_t epoch);
   void attach_tap(const std::string& instance, ProcessRec& rec);
-  void record_trace(const bus::TraceEvent& ev);
   void publish_vm_metrics(ProcessRec& rec, std::uint64_t instructions);
   void crash_now(ProcessIt it, const std::string& detail);
 
@@ -325,11 +300,8 @@ class Runtime {
   profile::Profiler* profiler_ = nullptr;
   profile::ProfileOptions profile_options_;
   std::uint64_t profile_epoch_ = 0;  // same staleness guard as heartbeats
-  std::deque<bus::TraceEvent> trace_;
-  std::size_t trace_capacity_ = 1'048'576;
-  std::uint64_t trace_dropped_ = 0;
   obs::MetricsRegistry metrics_;
-  ::surgeon::trace::Recorder tracer_;
+  trace::Recorder tracer_;
 };
 
 }  // namespace surgeon::app

@@ -1,7 +1,6 @@
 #include "bus/bus.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "support/diag.hpp"
 
@@ -29,29 +28,6 @@ bool role_can_send(IfaceRole role) noexcept {
 
 bool role_can_receive(IfaceRole role) noexcept {
   return role != IfaceRole::kDefine;
-}
-
-const char* trace_kind_name(TraceEvent::Kind kind) noexcept {
-  switch (kind) {
-    case TraceEvent::Kind::kSend: return "send";
-    case TraceEvent::Kind::kDeliver: return "deliver";
-    case TraceEvent::Kind::kDrop: return "drop";
-    case TraceEvent::Kind::kSignal: return "signal";
-    case TraceEvent::Kind::kStateDivulged: return "state-divulged";
-    case TraceEvent::Kind::kStateDelivered: return "state-delivered";
-    case TraceEvent::Kind::kRebind: return "rebind";
-    case TraceEvent::Kind::kModuleAdded: return "module-added";
-    case TraceEvent::Kind::kModuleRemoved: return "module-removed";
-    case TraceEvent::Kind::kModuleCrashed: return "module-crashed";
-  }
-  return "?";
-}
-
-std::string TraceEvent::to_string() const {
-  std::ostringstream os;
-  os << "t=" << at << "us " << trace_kind_name(kind) << " " << module;
-  if (!detail.empty()) os << " (" << detail << ")";
-  return os.str();
 }
 
 Bus::ModuleRec& Bus::rec(const std::string& name) {
@@ -267,13 +243,11 @@ void Bus::add_module(ModuleInfo info) {
   }
   resolve_endpoint_metrics(r);
   if (tracer_ != nullptr) resolve_trace_symbols(r);
-  const std::string detail =
-      "machine=" + r.info.machine + " status=" + r.info.status;
   if (metrics_on()) {
     metrics_->counter("surgeon_bus_modules_added_total").inc();
   }
-  rec_event(trc::EventKind::kModuleAdded, r.info.machine, name, detail);
-  trace(TraceEvent::Kind::kModuleAdded, name, detail);
+  rec_event(trc::EventKind::kModuleAdded, r.info.machine, name,
+            "machine=" + r.info.machine + " status=" + r.info.status);
 }
 
 void Bus::remove_module(const std::string& name) {
@@ -307,7 +281,6 @@ void Bus::remove_module(const std::string& name) {
     metrics_->counter("surgeon_bus_modules_removed_total").inc();
   }
   rec_event(trc::EventKind::kModuleRemoved, machine, name, "");
-  trace(TraceEvent::Kind::kModuleRemoved, name, "");
 }
 
 const ModuleInfo& Bus::module_info(const std::string& name) const {
@@ -533,16 +506,12 @@ void Bus::rebind(const BindEditBatch& batch) {
         apply_edit(edit);
       }
     }
-    if (batch.size() != 0) {
-      if (metrics_on()) {
-        metrics_->counter("surgeon_bus_rebinds_total").inc();
-        metrics_
-            ->histogram("surgeon_bus_rebind_edits", {},
-                        {1, 4, 16, 64, 256, 1024})
-            .observe(batch.size());
-      }
-      trace(TraceEvent::Kind::kRebind, batch.edits().front().a.module,
-            std::to_string(batch.size()) + " edits");
+    if (batch.size() != 0 && metrics_on()) {
+      metrics_->counter("surgeon_bus_rebinds_total").inc();
+      metrics_
+          ->histogram("surgeon_bus_rebind_edits", {},
+                      {1, 4, 16, 64, 256, 1024})
+          .observe(batch.size());
     }
   } catch (...) {
     bindings_ = std::move(saved);
@@ -613,10 +582,6 @@ void Bus::drop_stale_arrival(EndpointRef dst, const Message& msg) {
   rec_event(trc::EventKind::kDrop, machine_of_or(gone.module, "bus"),
             gone.module, gone.spec.name + " (in flight to removed module)",
             msg.trace_ctx);
-  if (trace_) {
-    trace(TraceEvent::Kind::kDrop, gone.module,
-          gone.spec.name + " (in flight to removed module)");
-  }
 }
 
 // --- messaging ----------------------------------------------------------------
@@ -656,15 +621,11 @@ void Bus::send_from(EndpointRef ref, Endpoint& ep,
     send_ctx = tracer_->record_at(ep.owner->trace_site, trc::EventKind::kSend,
                                   ep.trace_detail, cause);
   }
-  if (trace_) trace(TraceEvent::Kind::kSend, ep.module, ep.spec.name);
   if (ep.peers.empty()) {
     ++stats_.messages_dropped_unbound;
     if (metrics_on()) ep.dropped_ctr->inc();
     rec_event(trc::EventKind::kDrop, ep.owner->info.machine, ep.module,
               ep.spec.name + " (unbound)", send_ctx);
-    if (trace_) {
-      trace(TraceEvent::Kind::kDrop, ep.module, ep.spec.name + " (unbound)");
-    }
     return;
   }
   if (delivery_.reliable) {
@@ -685,14 +646,10 @@ void Bus::send_from(EndpointRef ref, Endpoint& ep,
     if (fd.drop) {
       ++rstats_.chaos_drops;
       chaos_metric("surgeon_bus_chaos_drops_total", "message");
-      if (tracer_on() || trace_) {
+      if (tracer_on()) {
         const Endpoint& dst = slab_[endpoint_slot(pl.ref)];
         rec_event(trc::EventKind::kDrop, *pl.src_machine, dst.module,
                   dst.spec.name + " (chaos)", send_ctx);
-        if (trace_) {
-          trace(TraceEvent::Kind::kDrop, dst.module,
-                dst.spec.name + " (chaos)");
-        }
       }
       continue;
     }
@@ -818,7 +775,6 @@ void Bus::signal_reconfig(const std::string& module) {
     }
     rec_event(trc::EventKind::kSignal, it->second.info.machine, module,
               "reconfigure delivered", req_ctx);
-    trace(TraceEvent::Kind::kSignal, module, "reconfigure");
     wake(module);
   });
 }
@@ -850,8 +806,6 @@ void Bus::post_divulged_state(const std::string& module,
   last_divulge_ctx_ =
       rec_event(trc::EventKind::kDivulge, r.info.machine, module,
                 std::to_string(bytes.size()) + " bytes");
-  trace(TraceEvent::Kind::kStateDivulged, module,
-        std::to_string(bytes.size()) + " bytes");
   if (state_observer_) state_observer_(module, "divulged", bytes);
   r.divulged_state = std::move(bytes);
 }
@@ -901,8 +855,6 @@ void Bus::deliver_state(const std::string& from_machine,
         last_state_ctx_[to_module] = rec_event(
             trc::EventKind::kStateDeliver, it->second.info.machine, to_module,
             std::to_string(bytes.size()) + " bytes", divulge_ctx);
-        trace(TraceEvent::Kind::kStateDelivered, to_module,
-              std::to_string(bytes.size()) + " bytes");
         if (state_observer_) {
           state_observer_(to_module, "delivered", bytes);
         }
@@ -1002,8 +954,7 @@ void Bus::note_module_crashed(const std::string& module, std::string detail) {
         .inc();
   }
   rec_event(trc::EventKind::kCrash, machine_of_or(module, "bus"), module,
-            detail);
-  trace(TraceEvent::Kind::kModuleCrashed, module, std::move(detail));
+            std::move(detail));
 }
 
 void Bus::deliver_into(Endpoint& ep, Message msg) {
@@ -1024,7 +975,6 @@ void Bus::deliver_into(Endpoint& ep, Message msg) {
     ep.delivered_ctr->inc();
     note_depth(ep);
   }
-  if (trace_) trace(TraceEvent::Kind::kDeliver, ep.module, ep.spec.name);
   wake(ep.module);
 }
 
@@ -1101,10 +1051,6 @@ void Bus::transmit_entry(StreamKey stream, std::uint64_t seq, bool retransmit) {
       chaos_metric("surgeon_bus_chaos_drops_total", "message");
       rec_event(trc::EventKind::kDrop, *pl.src_machine, peer.module,
                 peer.spec.name + " (chaos)", tx_ctx);
-      if (trace_) {
-        trace(TraceEvent::Kind::kDrop, peer.module,
-              peer.spec.name + " (chaos)");
-      }
     } else {
       Message copy = entry.msg;
       copy.trace_ctx = tx_ctx;
@@ -1154,8 +1100,6 @@ void Bus::arm_retransmit(StreamKey stream, std::uint64_t seq,
                 owner_module,
                 owner_iface + " seq " + std::to_string(seq) + " (gave up)",
                 entry.msg.trace_ctx);
-      trace(TraceEvent::Kind::kDrop, owner_module,
-            owner_iface + " seq " + std::to_string(seq) + " (gave up)");
       ts.unacked.erase(eit);
       update_reliable_gauges();
       return;
@@ -1177,19 +1121,12 @@ void Bus::reliable_arrive(EndpointRef dst, Message msg) {
     rec_event(trc::EventKind::kDrop, machine_of_or(gone.module, "bus"),
               gone.module, gone.spec.name + " (in flight to removed module)",
               msg.trace_ctx);
-    if (trace_) {
-      trace(TraceEvent::Kind::kDrop, gone.module,
-            gone.spec.name + " (in flight to removed module)");
-    }
     return;
   }
   Endpoint& ep = *epp;
   if (ep.rx_retired) {
     rec_event(trc::EventKind::kDrop, ep.owner->info.machine, ep.module,
               ep.spec.name + " (retired)", msg.trace_ctx);
-    if (trace_) {
-      trace(TraceEvent::Kind::kDrop, ep.module, ep.spec.name + " (retired)");
-    }
     return;  // no ack: the retransmit follows the rebound binding
   }
   const StreamKey stream = msg.stream;
@@ -1201,10 +1138,6 @@ void Bus::reliable_arrive(EndpointRef dst, Message msg) {
     chaos_metric("surgeon_bus_dups_discarded_total", "message");
     rec_event(trc::EventKind::kDupDiscard, ep.owner->info.machine, ep.module,
               ep.spec.name + " seq " + std::to_string(seq), msg.trace_ctx);
-    if (trace_) {
-      trace(TraceEvent::Kind::kDrop, ep.module,
-            ep.spec.name + " (duplicate seq " + std::to_string(seq) + ")");
-    }
     have_it = true;  // re-ack: the first ack may have been lost
   } else if (seq == rx.next_expected) {
     deliver_into(ep, std::move(msg));
@@ -1377,8 +1310,6 @@ void Bus::arm_control_retry(std::uint64_t id, net::SimTime timeout_us) {
       chaos_metric("surgeon_bus_delivery_gave_up_total", kind_str);
       rec_event(trc::EventKind::kDrop, tx.from_machine, tx.target,
                 std::string(kind_str) + " (gave up)", tx.trace_ctx);
-      trace(TraceEvent::Kind::kDrop, tx.target,
-            std::string(kind_str) + " (gave up)");
       control_.erase(it);
       return;
     }
@@ -1425,7 +1356,6 @@ void Bus::apply_signal(const std::string& module, std::uint64_t id) {
     }
     rec_event(trc::EventKind::kSignal, r.info.machine, module,
               "reconfigure delivered", cause);
-    trace(TraceEvent::Kind::kSignal, module, "reconfigure");
     wake(module);
   }
   ack_control(module, id);
@@ -1450,8 +1380,6 @@ void Bus::apply_state(const std::string& module, std::uint64_t id,
     last_state_ctx_[module] = rec_event(
         trc::EventKind::kStateDeliver, r.info.machine, module,
         std::to_string(bytes.size()) + " bytes", cause);
-    trace(TraceEvent::Kind::kStateDelivered, module,
-          std::to_string(bytes.size()) + " bytes");
     if (state_observer_) state_observer_(module, "delivered", bytes);
     r.incoming_state = bytes;
     wake(module);

@@ -37,8 +37,7 @@
 
 namespace surgeon::bus {
 
-// The causal flight recorder lives in surgeon::trace; aliased because the
-// Bus also has a (legacy) member function named `trace`.
+// Short name for the causal flight recorder's namespace, surgeon::trace.
 namespace trc = ::surgeon::trace;
 
 /// Everything the bus needs to instantiate a module. (The configuration
@@ -79,34 +78,6 @@ class BindEditBatch {
  private:
   std::vector<BindEdit> edits_;
 };
-
-/// One traced bus event. The trace is the platform's flight recorder:
-/// every message send/delivery/drop, signal, state movement, bind-table
-/// change, and module lifecycle transition, with its virtual timestamp.
-struct TraceEvent {
-  enum class Kind : std::uint8_t {
-    kSend,
-    kDeliver,
-    kDrop,
-    kSignal,
-    kStateDivulged,
-    kStateDelivered,
-    kRebind,
-    kModuleAdded,
-    kModuleRemoved,
-    kModuleCrashed,
-  };
-  net::SimTime at = 0;
-  Kind kind = Kind::kSend;
-  std::string module;  // the module the event concerns
-  std::string detail;  // interface, peer, byte counts, ...
-
-  [[nodiscard]] std::string to_string() const;
-};
-
-[[nodiscard]] const char* trace_kind_name(TraceEvent::Kind kind) noexcept;
-
-using TraceSink = std::function<void(const TraceEvent&)>;
 
 /// Counters exposed for tests and benchmarks.
 struct BusStats {
@@ -170,8 +141,11 @@ struct ReliableStats {
 
 /// Observes state buffers crossing the bus: `phase` is "divulged" when a
 /// module posts its encoded state and "delivered" when a buffer lands in a
-/// clone's decode mailbox. The chaos harness uses this for its
-/// captured-equals-restored byte comparison.
+/// clone's decode mailbox. Reliable redeliveries are deduplicated before
+/// the observer runs, and a delivery is observed right after its recorder
+/// event, before the module's mailbox is filled. The chaos harness uses
+/// this for its captured-equals-restored byte comparison and its
+/// clone-crash trigger.
 using StateObserver = std::function<void(
     const std::string& module, const char* phase,
     const std::vector<std::uint8_t>& bytes)>;
@@ -392,10 +366,6 @@ class Bus {
   void set_wake_callback(std::function<void(const std::string&)> cb) {
     wake_ = std::move(cb);
   }
-
-  /// Streams every bus event to `sink` (null disables tracing, the
-  /// default; tracing costs one callback per event when enabled).
-  void set_trace(TraceSink sink) { trace_ = std::move(sink); }
 
   /// Attaches a metrics registry (null detaches, the default). Hot-path
   /// series handles (per-interface send/deliver/drop counters and
@@ -687,12 +657,6 @@ class Bus {
   void wake(const std::string& module) {
     if (wake_) wake_(module);
   }
-  void trace(TraceEvent::Kind kind, const std::string& module,
-             std::string detail) {
-    if (trace_) {
-      trace_(TraceEvent{sim_->now(), kind, module, std::move(detail)});
-    }
-  }
 
   net::Simulator* sim_;
   std::map<std::string, ModuleRec> modules_;
@@ -706,7 +670,6 @@ class Bus {
   std::vector<InFlight> inflight_;
   std::uint32_t inflight_free_ = kNoSlot;
   std::function<void(const std::string&)> wake_;
-  TraceSink trace_;
   BusStats stats_;
   obs::MetricsRegistry* metrics_ = nullptr;
   TopHandler top_handler_;

@@ -155,7 +155,10 @@ struct PassResult {
   std::string abort_reason;
   net::SimTime replace_started_at = 0;
   std::vector<std::string> final_modules;  // bus registry when the pass ends
-  std::vector<bus::TraceEvent> trace;
+  /// Invariant 3's evidence, from the recorder: when the first state
+  /// capture was divulged, and when every rebind fired.
+  std::optional<net::SimTime> first_divulge_at;
+  std::vector<net::SimTime> rebinds_at;
   std::vector<std::vector<std::uint8_t>> divulged;
   std::vector<std::vector<std::uint8_t>> delivered;
   bus::ReliableStats rstats;
@@ -171,34 +174,36 @@ PassResult run_pass(const ScenarioSpec& spec, FaultSource* injector) {
   app::Runtime& rt = *rt_owner;
   if (injector != nullptr) injector->attach(rt.bus());
   rt.enable_metrics();
-  // Invariant 5 runs online over the flight recorder: the checker sees
-  // every event as it is recorded, before the ring can evict it.
+  // Invariants 3 and 5 run online over the flight recorder: the observer
+  // sees every event as it is recorded, before the ring can evict it.
   rt.enable_causal_tracing();
   trace::HbChecker hb_checker;
-  rt.tracer().set_observer(
-      [&hb_checker](const trace::Event& ev) { hb_checker.observe(ev); });
-  rt.bus().set_state_observer(
-      [&pr](const std::string&, const char* phase,
-            const std::vector<std::uint8_t>& bytes) {
-        if (std::string_view(phase) == "divulged") {
-          pr.divulged.push_back(bytes);
-        } else {
-          pr.delivered.push_back(bytes);
-        }
-      });
-  // Trace sink doubles as the crash trigger: killing the clone exactly when
-  // its first state buffer lands is deterministic across retransmissions
-  // (the buffer arrives once; duplicates are deduplicated before tracing).
-  bool crash_armed = injector != nullptr && spec.crash_clone;
-  rt.bus().set_trace([&pr, &rt, &crash_armed](const bus::TraceEvent& ev) {
-    pr.trace.push_back(ev);
-    if (crash_armed && ev.kind == bus::TraceEvent::Kind::kStateDelivered &&
-        ev.module.find('@') != std::string::npos &&
-        rt.module_running(ev.module)) {
-      crash_armed = false;
-      rt.crash_module(ev.module, "chaos: crashed on first state delivery");
+  rt.tracer().add_observer([&hb_checker, &pr](const trace::Event& ev) {
+    hb_checker.observe(ev);
+    if (ev.kind == trace::EventKind::kDivulge && !pr.first_divulge_at) {
+      pr.first_divulge_at = ev.at;
+    } else if (ev.kind == trace::EventKind::kRebind) {
+      pr.rebinds_at.push_back(ev.at);
     }
   });
+  // The state observer doubles as the crash trigger: killing the clone
+  // exactly when its first state buffer lands is deterministic across
+  // retransmissions (the bus deduplicates redeliveries before observing).
+  bool crash_armed = injector != nullptr && spec.crash_clone;
+  rt.bus().set_state_observer(
+      [&pr, &rt, &crash_armed](const std::string& module, const char* phase,
+                               const std::vector<std::uint8_t>& bytes) {
+        if (std::string_view(phase) == "divulged") {
+          pr.divulged.push_back(bytes);
+          return;
+        }
+        pr.delivered.push_back(bytes);
+        if (crash_armed && module.find('@') != std::string::npos &&
+            rt.module_running(module)) {
+          crash_armed = false;
+          rt.crash_module(module, "chaos: crashed on first state delivery");
+        }
+      });
 
   auto out_size = [&rt, &roles] {
     vm::Machine* m = rt.machine_of(roles.observer);
@@ -416,28 +421,21 @@ bool check_state_fidelity(const PassResult& pass, ScenarioResult& result) {
 bool check_rebind_after_quiescence(const PassResult& pass,
                                    ScenarioResult& result) {
   if (!pass.replaced) return true;
-  net::SimTime divulged_at = 0;
-  bool saw_divulge = false;
-  for (const auto& ev : pass.trace) {
-    if (ev.kind == bus::TraceEvent::Kind::kStateDivulged) {
-      divulged_at = ev.at;
-      saw_divulge = true;
-      break;
-    }
-  }
-  if (!saw_divulge) {
+  if (!pass.first_divulge_at) {
     return fail(result, "invariant 3: no state-divulged trace event");
   }
-  for (const auto& ev : pass.trace) {
-    if (ev.kind != bus::TraceEvent::Kind::kRebind) continue;
-    if (ev.at < pass.replace_started_at) continue;  // application load
-    if (ev.at < divulged_at) {
-      return fail(result, "invariant 3: rebind at t=" +
-                              std::to_string(ev.at) +
-                              "us before quiescence at t=" +
-                              std::to_string(divulged_at) + "us");
-    }
-    break;  // only the first post-launch rebind switches the bindings
+  // Only the first post-launch rebind switches the bindings; earlier ones
+  // belong to the application load.
+  auto rebind = std::find_if(
+      pass.rebinds_at.begin(), pass.rebinds_at.end(),
+      [&pass](net::SimTime at) { return at >= pass.replace_started_at; });
+  if (rebind == pass.rebinds_at.end()) {
+    return fail(result, "invariant 3: replacement completed without a rebind");
+  }
+  if (*rebind < *pass.first_divulge_at) {
+    return fail(result, "invariant 3: rebind at t=" + std::to_string(*rebind) +
+                            "us before quiescence at t=" +
+                            std::to_string(*pass.first_divulge_at) + "us");
   }
   return true;
 }
@@ -551,7 +549,7 @@ KvPassResult run_kv_pass(const ScenarioSpec& spec, FaultSource* injector) {
   rt.enable_metrics();
   rt.enable_causal_tracing();
   trace::HbChecker hb_checker;
-  rt.tracer().set_observer(
+  rt.tracer().add_observer(
       [&hb_checker](const trace::Event& ev) { hb_checker.observe(ev); });
 
   replicate::KvService service(rt, kv);

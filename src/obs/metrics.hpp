@@ -4,7 +4,7 @@
 // label set. The registry is designed around the simulator's *virtual*
 // clock: every timer and span records virtual microseconds (net::SimTime),
 // never wall time, so measurements are deterministic and comparable across
-// runs and machines, and correlate 1:1 with bus::TraceEvent timestamps.
+// runs and machines, and correlate 1:1 with flight-recorder timestamps.
 //
 // Cost model: instrumented components (bus, runtime, scripts) hold a
 // `MetricsRegistry*` that is null by default, and hot paths cache handles

@@ -55,7 +55,7 @@ namespace surgeon::reconfig {
 // surgeon_reconfig_step_us histogram. The first seven are the Figure 5
 // steps in script order; kStepDrain is our drain-window addition, nested
 // inside kStepDel on the timeline. Span timestamps are virtual
-// microseconds, so they correlate 1:1 with TraceEvent timestamps.
+// microseconds, so they correlate 1:1 with flight-recorder timestamps.
 inline constexpr const char* kStepObjCap = "obj_cap";
 inline constexpr const char* kStepCloneRegister = "clone_register";
 inline constexpr const char* kStepBindEditPrep = "bind_edit_prep";

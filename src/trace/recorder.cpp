@@ -57,19 +57,12 @@ Recorder::ObserverId Recorder::add_observer(
 }
 
 void Recorder::remove_observer(ObserverId id) {
-  if (id == 0) return;
   for (auto it = observers_.begin(); it != observers_.end(); ++it) {
     if (it->first == id) {
       observers_.erase(it);
       break;
     }
   }
-  if (legacy_observer_ == id) legacy_observer_ = 0;
-}
-
-void Recorder::set_observer(std::function<void(const Event&)> observer) {
-  remove_observer(legacy_observer_);
-  legacy_observer_ = observer ? add_observer(std::move(observer)) : 0;
 }
 
 std::uint64_t Recorder::begin_trace(const std::string& name) {

@@ -86,9 +86,6 @@ class Recorder {
   using ObserverId = std::uint64_t;
   ObserverId add_observer(std::function<void(const Event&)> observer);
   void remove_observer(ObserverId id);
-  // Legacy single-slot form: replaces the previous set_observer callback
-  // (and only it), leaving add_observer subscribers untouched.
-  void set_observer(std::function<void(const Event&)> observer);
 
   // Mints a fresh request id for a tagged workload-entry message.  Pass it
   // back inside a synthetic cause context (event == 0) so the recorded
@@ -174,7 +171,6 @@ class Recorder {
   std::function<net::SimTime()> clock_;
   std::vector<std::pair<ObserverId, std::function<void(const Event&)>>>
       observers_;
-  ObserverId legacy_observer_ = 0;  // id of the set_observer slot, 0 if none
   ObserverId next_observer_ = 0;
   // Reused Events handed to observers, one per nesting level of recording
   // from inside an observer; boxed so growing keeps the outer ones in place.

@@ -2,6 +2,7 @@
 
 #include "bus/bus.hpp"
 #include "bus/client.hpp"
+#include "trace/assemble.hpp"
 
 namespace surgeon::bus {
 namespace {
@@ -296,9 +297,11 @@ TEST_F(BusTest, ClientFacade) {
   EXPECT_EQ(decoded->frame_count(), 1u);
 }
 
-TEST_F(BusTest, TraceRecordsTheFullEventStory) {
-  std::vector<TraceEvent> events;
-  bus_.set_trace([&](const TraceEvent& ev) { events.push_back(ev); });
+TEST_F(BusTest, RecorderRecordsTheFullEventStory) {
+  trace::Recorder rec;
+  rec.set_clock(&sim_);
+  rec.set_enabled(true);
+  bus_.set_tracer(&rec);
   add_pair();
   bus_.send("a", "out", {ser::Value(std::int64_t{1})});
   bus_.signal_reconfig("a");
@@ -308,42 +311,52 @@ TEST_F(BusTest, TraceRecordsTheFullEventStory) {
   sim_.run();
   bus_.remove_module("b");
 
-  std::vector<TraceEvent::Kind> kinds;
+  const std::vector<trace::Event> events = trace::assemble(rec).events;
+  std::vector<trace::EventKind> kinds;
   for (const auto& ev : events) kinds.push_back(ev.kind);
-  EXPECT_EQ(kinds,
-            (std::vector<TraceEvent::Kind>{
-                TraceEvent::Kind::kModuleAdded,   // a
-                TraceEvent::Kind::kModuleAdded,   // b
-                TraceEvent::Kind::kRebind,        // the binding
-                TraceEvent::Kind::kSend,          // a.out at t=0
-                TraceEvent::Kind::kSignal,        // a at t=10 (local)
-                TraceEvent::Kind::kDeliver,       // b.in at t=1000 (remote)
-                TraceEvent::Kind::kStateDivulged, // a, 3 bytes
-                TraceEvent::Kind::kStateDelivered,// b
-                TraceEvent::Kind::kModuleRemoved, // b
-            }));
+  using K = trace::EventKind;
+  EXPECT_EQ(kinds, (std::vector<K>{
+                       K::kModuleAdded,   // a
+                       K::kModuleAdded,   // b
+                       K::kRebind,        // the binding
+                       K::kSend,          // a.out at t=0
+                       K::kSignal,        // a requested at t=0
+                       K::kSignal,        // a delivered at t=10 (local)
+                       K::kDeliver,       // b.in at t=1000 (remote)
+                       K::kDivulge,       // a, 3 bytes
+                       K::kStateDeliver,  // b
+                       K::kModuleRemoved, // b
+                   }));
   // Timestamps are the virtual times of the events.
-  EXPECT_EQ(events[3].at, 0u);       // send happens immediately
-  EXPECT_EQ(events[5].at, 1000u);    // cross-machine delivery latency
-  EXPECT_NE(events[6].detail.find("3 bytes"), std::string::npos);
+  EXPECT_EQ(events[3].at, 0u);     // send happens immediately
+  EXPECT_EQ(events[4].at, 0u);
+  EXPECT_EQ(events[4].detail, "reconfigure requested");
+  EXPECT_EQ(events[5].at, 10u);    // local signal latency
+  EXPECT_EQ(events[5].detail, "reconfigure delivered");
+  EXPECT_EQ(events[6].at, 1000u);  // cross-machine delivery latency
+  EXPECT_EQ(events[6].module, "b");
+  EXPECT_EQ(events[6].detail, "in");
+  EXPECT_EQ(events[7].detail, "3 bytes");
   EXPECT_NE(events[0].detail.find("machine=vax"), std::string::npos);
-  // Human-readable rendering.
-  EXPECT_NE(events[5].to_string().find("deliver b (in)"), std::string::npos)
-      << events[5].to_string();
 }
 
-TEST_F(BusTest, TraceDisabledByDefaultAndDetachable) {
+TEST_F(BusTest, RecorderDisabledByDefaultAndDetachable) {
+  trace::Recorder rec;
+  rec.set_clock(&sim_);
+  bus_.set_tracer(&rec);
   add_pair();
-  std::size_t count = 0;
-  bus_.set_trace([&](const TraceEvent&) { ++count; });
   bus_.send("a", "out", {ser::Value(std::int64_t{1})});
   sim_.run();
-  EXPECT_GT(count, 0u);
-  std::size_t at_detach = count;
-  bus_.set_trace(nullptr);
+  EXPECT_EQ(rec.total_events(), 0u);  // attached but disabled
+  rec.set_enabled(true);
   bus_.send("a", "out", {ser::Value(std::int64_t{2})});
   sim_.run();
-  EXPECT_EQ(count, at_detach);
+  const std::uint64_t at_detach = rec.total_events();
+  EXPECT_GT(at_detach, 0u);
+  bus_.set_tracer(nullptr);
+  bus_.send("a", "out", {ser::Value(std::int64_t{3})});
+  sim_.run();
+  EXPECT_EQ(rec.total_events(), at_detach);
 }
 
 TEST_F(BusTest, StatsTrackStateBytes) {

@@ -1,13 +1,12 @@
 // Unit tests of the observability subsystem: counter/gauge/histogram
 // semantics, label canonicalization, span recording over the virtual
 // clock, the exporters (including the Prometheus golden file), the bus
-// instrumentation hooks, mh_stats, and the bounded trace ring.
+// instrumentation hooks, and mh_stats.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
 
-#include "app/runtime.hpp"
 #include "bus/bus.hpp"
 #include "bus/client.hpp"
 #include "obs/export.hpp"
@@ -298,28 +297,6 @@ TEST(BusMetrics, MhStatsWithoutRegistryIsEmpty) {
   EXPECT_EQ(client.mh_stats(), "");
   EXPECT_EQ(client.mh_stats("json"),
             "{\"counters\":[],\"gauges\":[],\"histograms\":[],\"spans\":[]}");
-}
-
-// --- trace ring ------------------------------------------------------------
-
-TEST(TraceRing, OldestEventsDropWhenFull) {
-  app::Runtime rt(1);
-  rt.add_machine("m", net::arch_vax());
-  rt.enable_metrics();
-  rt.enable_tracing();
-  rt.set_trace_capacity(2);
-  for (int i = 0; i < 5; ++i) {
-    bus::ModuleInfo info;
-    info.name = "mod" + std::to_string(i);
-    info.machine = "m";
-    rt.bus().add_module(std::move(info));
-  }
-  EXPECT_EQ(rt.trace().size(), 2u);
-  EXPECT_EQ(rt.trace_dropped(), 3u);
-  EXPECT_EQ(rt.metrics().counter_value("surgeon_trace_dropped_total"), 3u);
-  // The survivors are the most recent events.
-  EXPECT_EQ(rt.trace().back().module, "mod4");
-  EXPECT_EQ(rt.trace().front().module, "mod3");
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "minic/parser.hpp"
 #include "minic/sema.hpp"
 #include "reconfig/scripts.hpp"
+#include "trace/assemble.hpp"
 
 namespace surgeon::reconfig {
 namespace {
@@ -306,12 +307,12 @@ TEST(Script, StepSpansCoverFigureFiveInOrder) {
   }
 }
 
-TEST(Script, SpansCorrelateWithTraceEvents) {
-  // Span timestamps and TraceEvent timestamps share the virtual clock: the
-  // rebind trace event falls inside the rebind span.
+TEST(Script, SpansCorrelateWithRecorderEvents) {
+  // Span timestamps and recorder timestamps share the virtual clock: the
+  // recorder's rebind event falls inside the rebind span.
   auto rt = make_counter();
   rt->enable_metrics();
-  rt->enable_tracing();
+  rt->enable_causal_tracing();
   rt->run_until(
       [&] { return rt->machine_of("client")->output().size() >= 2; },
       10'000'000);
@@ -322,8 +323,8 @@ TEST(Script, SpansCorrelateWithTraceEvents) {
   });
   ASSERT_NE(rebind, spans.end());
   bool found = false;
-  for (const auto& ev : rt->trace()) {
-    if (ev.kind == bus::TraceEvent::Kind::kRebind &&
+  for (const auto& ev : trace::assemble(rt->tracer()).events) {
+    if (ev.kind == trace::EventKind::kRebind &&
         ev.at >= rebind->begin_us && ev.at <= rebind->end_us) {
       found = true;
     }

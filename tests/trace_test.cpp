@@ -89,7 +89,7 @@ TEST(Recorder, RingEvictsOldestAndCountsDrops) {
   rec.set_enabled(true);
   rec.set_capacity(4);
   std::size_t observed = 0;
-  rec.set_observer([&observed](const Event&) { ++observed; });
+  rec.add_observer([&observed](const Event&) { ++observed; });
   for (int i = 0; i < 10; ++i) {
     rec.record(EventKind::kSend, "vax", "a", std::to_string(i));
   }
@@ -614,7 +614,7 @@ TEST(Replacement, CloneInheritsCapturedQueueContexts) {
 TEST(Replacement, CleanRunPassesTheOnlineChecker) {
   auto rt = make_counter();
   HbChecker checker;
-  rt->tracer().set_observer(
+  rt->tracer().add_observer(
       [&checker](const Event& ev) { checker.observe(ev); });
   rt->enable_causal_tracing();
   rt->run_until(
