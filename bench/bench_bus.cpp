@@ -1,7 +1,19 @@
-// C8 -- the software bus substrate: message throughput (wall clock) and
-// delivery latency (virtual clock), same-machine vs cross-machine, plus the
-// cost of a Figure-5 rebind batch. These are the constants underneath every
-// reconfiguration measurement.
+// C8 -- the software bus substrate, the constants underneath every
+// reconfiguration measurement:
+//
+// BM_SendDeliverReceive -- one message, send to receive: wall time per hop
+//   and the virtual latency, same-machine (remote:0) vs cross-machine.
+// BM_BurstThroughput / BM_BurstThroughputPreResolved -- bursts of 16 to
+//   4096 messages through the string-name shim vs endpoint handles
+//   resolved once (as bus::Client caches them); items are messages.
+// BM_RebindBatch -- one Figure 5 rebind batch that moves every peer of a
+//   server endpoint to its replacement (delete + add per peer, then queue
+//   capture and rmq), at 1 to 1024 peers; items are peers. The bind table
+//   is the endpoints' own peer lists and a batch keeps an undo log, not a
+//   copy of the table, so a batch costs its edits: the per-peer cost
+//   (1 / items_per_second) at 1024 peers stays within 2x of 64's.
+//
+// `bench_bus_json` writes the committed BENCH_bus.json (release preset).
 #include <benchmark/benchmark.h>
 
 #include "bus/bus.hpp"
@@ -135,6 +147,7 @@ void BM_RebindBatch(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) * peers);
 }
-BENCHMARK(BM_RebindBatch)->Arg(1)->Arg(8)->Arg(64)->ArgNames({"peers"});
+BENCHMARK(BM_RebindBatch)->Arg(1)->Arg(8)->Arg(64)->Arg(256)->Arg(1024)
+    ->ArgNames({"peers"});
 
 }  // namespace

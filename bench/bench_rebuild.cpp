@@ -1,4 +1,5 @@
-// What machine loss costs a replica-group deployment (surgeon::replicate).
+// What machine loss costs a replica-group deployment (surgeon::replicate),
+// and how the control plane's host cost grows with the fleet.
 //
 // BM_RebuildUnderLoad -- the sharded KV workload with a GroupManager
 // watching, one ring machine crashed mid-run, per group size:
@@ -12,26 +13,43 @@
 // Wall time per iteration is the full simulated run; items processed are
 // acknowledged KV operations.
 //
-// BM_KvSteadyFleet -- host cost of steady-state serving as the fleet grows:
-// 3-member groups on 8 machines, reliable delivery, a GroupManager watching
-// 5 ms heartbeats, for 16, 64 and 256 shards (48 to 768 MiniC modules).
-// After 200 warm-up operations the timed region serves the next 1,000
-// acknowledged ones; the reported time (manual) and host_us_per_op cover
-// that region only, so setup and teardown are excluded. The one piece of
-// work that must grow with the fleet is one beat per live module per
-// heartbeat, and a beat from a module that has not moved is one name
-// compare in the detector. A router tick visits only the groups with an
-// operation in flight or waiting, so it costs the work it finds, and
-// everything else is paid per operation: 16x the shards may cost at most
-// 16x per op, and the heartbeat fan-out is what keeps it above 1x.
+// The three fleet benchmarks grow one fleet: 3-member groups on 8 vax
+// machines, reliable delivery, for 16, 64 and 256 shards (48 to 768 MiniC
+// modules). Each reports manual time over its timed region only, so the
+// rest of setup and teardown is excluded, and a per-unit counter whose
+// growth from 16 to 256 shards is the scaling evidence.
+//
+// BM_KvLaunch -- KvService::launch alone: load_application of the kv
+// config (one compile of the shard module, shared by every member), the
+// member installs and starts, and the router and client bindings. Reports
+// us_per_member; launch does a fixed amount of work per member, so the
+// counter stays flat as the fleet grows.
+//
+// BM_KvSteadyFleet -- steady-state serving with a GroupManager watching
+// 5 ms heartbeats. After 200 warm-up operations the timed region serves
+// the next 1,000 acknowledged ones (host_us_per_op). The one piece of work
+// that must grow with the fleet is one beat per live module per heartbeat,
+// and a beat from a module that has not moved is one name compare in the
+// detector. A router tick visits only the groups with an operation in
+// flight or waiting, so it costs the work it finds, and everything else is
+// paid per operation: 16x the shards may cost at most 16x per op, and the
+// heartbeat fan-out is what keeps it above 1x.
+//
+// BM_KvRebuildFleet -- one machine loss, healed: once the client has
+// finished its 200 operations m0 is crashed, and the GroupManager rebuilds
+// every group that had a member there onto a sparc spare. As in perfbench's
+// kv_machine_loss, the timed region is the scheduler steps during which a
+// group was rebuilt, and us_per_group divides it by the groups rebuilt
+// (groups_per_loss: about 3/8 of the shards). A rebuild edits only the bindings of the members it
+// replaces, so the per-group cost grows far slower than the fleet; what
+// still grows is the divulge wait's heartbeats and remove_module's scans
+// of the bus's reliable-stream and control tables.
 //
 // BM_RingPlace -- the raw consistent-hash placement probe, the per-group
 // price every rebuild and rebalance decision pays.
 //
-// Emit machine-readable results with
-//   bench_rebuild --benchmark_out=BENCH_rebuild.json
-//                 --benchmark_out_format=json
-// (the `bench_rebuild_json` CMake target does exactly that).
+// `bench_rebuild_json` writes the committed BENCH_rebuild.json (release
+// preset, 5 repetitions).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -63,6 +81,33 @@ replicate::ManagerOptions bench_manager_options() {
   mopts.detector.suspicion_timeout_us = 30'000;
   mopts.detector.confirm_timeout_us = 60'000;
   return mopts;
+}
+
+/// The fleet the scaling benchmarks grow: `shards` three-member groups on
+/// m0..m7.
+replicate::KvOptions fleet_options(std::size_t shards) {
+  replicate::KvOptions options;
+  options.seed = 1;
+  options.shards = shards;
+  options.group_size = 3;
+  options.machines.clear();
+  for (int m = 0; m < 8; ++m) {
+    options.machines.push_back("m" + std::to_string(m));
+  }
+  return options;
+}
+
+/// The fleet's machines (vax) and the control machine, with reliable
+/// delivery on.
+void add_fleet_machines(app::Runtime& rt, const replicate::KvOptions& options) {
+  for (const auto& m : options.machines) rt.add_machine(m, net::arch_vax());
+  rt.add_machine(options.control_machine, net::arch_vax());
+  rt.bus().set_delivery(bus::DeliveryOptions{.reliable = true});
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 net::SimTime p99(std::vector<net::SimTime> samples) {
@@ -141,6 +186,32 @@ void BM_RebuildUnderLoad(benchmark::State& state) {
 BENCHMARK(BM_RebuildUnderLoad)->Arg(2)->Arg(3)->ArgNames({"group_size"})
     ->Unit(benchmark::kMillisecond);
 
+void BM_KvLaunch(benchmark::State& state) {
+  const auto shards = static_cast<std::size_t>(state.range(0));
+  double launch_us = 0;
+  std::uint64_t members = 0;
+  for (auto _ : state) {
+    const replicate::KvOptions options = fleet_options(shards);
+    app::Runtime rt(1);
+    add_fleet_machines(rt, options);
+    replicate::KvService service(rt, options);
+    const auto t0 = std::chrono::steady_clock::now();
+    service.launch(kWorkItems);
+    const double elapsed = seconds_since(t0);
+    benchmark::DoNotOptimize(rt.bus().module_topology_generation());
+    state.SetIterationTime(elapsed);
+    launch_us += elapsed * 1e6;
+    members += shards * options.group_size;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(members));
+  if (members != 0) {
+    state.counters["us_per_member"] =
+        launch_us / static_cast<double>(members);
+  }
+}
+BENCHMARK(BM_KvLaunch)->Arg(16)->Arg(64)->Arg(256)->ArgNames({"shards"})
+    ->UseManualTime()->Unit(benchmark::kMillisecond);
+
 void BM_KvSteadyFleet(benchmark::State& state) {
   constexpr int kWarmupOps = 200;
   constexpr int kTimedOps = 1'000;
@@ -148,18 +219,9 @@ void BM_KvSteadyFleet(benchmark::State& state) {
   double timed_us = 0;
   std::uint64_t timed_ops = 0;
   for (auto _ : state) {
-    replicate::KvOptions options;
-    options.seed = 1;
-    options.shards = shards;
-    options.group_size = 3;
-    options.machines.clear();
-    for (int m = 0; m < 8; ++m) {
-      options.machines.push_back("m" + std::to_string(m));
-    }
+    const replicate::KvOptions options = fleet_options(shards);
     app::Runtime rt(1);
-    for (const auto& m : options.machines) rt.add_machine(m, net::arch_vax());
-    rt.add_machine(options.control_machine, net::arch_vax());
-    rt.bus().set_delivery(bus::DeliveryOptions{.reliable = true});
+    add_fleet_machines(rt, options);
     replicate::KvService service(rt, options);
     service.launch(kWarmupOps + kTimedOps);
     replicate::GroupManager manager(service, bench_manager_options());
@@ -192,6 +254,59 @@ void BM_KvSteadyFleet(benchmark::State& state) {
 }
 BENCHMARK(BM_KvSteadyFleet)->Arg(16)->Arg(64)->Arg(256)->ArgNames({"shards"})
     ->UseManualTime()->Unit(benchmark::kMillisecond);
+
+void BM_KvRebuildFleet(benchmark::State& state) {
+  constexpr int kOps = 200;
+  const auto shards = static_cast<std::size_t>(state.range(0));
+  double rebuild_us = 0;
+  std::uint64_t groups = 0;
+  std::uint64_t losses = 0;
+  for (auto _ : state) {
+    const replicate::KvOptions options = fleet_options(shards);
+    app::Runtime rt(1);
+    add_fleet_machines(rt, options);
+    rt.add_machine("sp0", net::arch_sparc());
+    replicate::KvService service(rt, options);
+    service.launch(kOps);
+    replicate::ManagerOptions mopts = bench_manager_options();
+    mopts.spares = {"sp0"};
+    replicate::GroupManager manager(service, mopts);
+    manager.start();
+    if (!rt.run_until([&] { return service.client().done(); }, kRounds)) {
+      state.SkipWithError("client never finished");
+      break;
+    }
+    (void)rt.crash_machine("m0");
+    const replicate::ManagerStats& ms = manager.stats();
+    const net::SimTime deadline = rt.now() + kBudgetUs;
+    double rebuild_s = 0;
+    while (ms.machines_rebuilt == 0 && rt.now() < deadline) {
+      const std::uint64_t before = ms.groups_rebuilt;
+      const auto t0 = std::chrono::steady_clock::now();
+      if (!rt.step()) break;
+      const double elapsed = seconds_since(t0);
+      if (ms.groups_rebuilt != before) rebuild_s += elapsed;
+    }
+    if (ms.machines_rebuilt == 0) {
+      state.SkipWithError("redundancy never restored");
+      break;
+    }
+    benchmark::DoNotOptimize(ms.groups_rebuilt);
+    state.SetIterationTime(rebuild_s);
+    rebuild_us += rebuild_s * 1e6;
+    groups += ms.groups_rebuilt;
+    ++losses;
+    manager.stop();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(groups));
+  if (groups != 0) {
+    state.counters["us_per_group"] = rebuild_us / static_cast<double>(groups);
+    state.counters["groups_per_loss"] =
+        static_cast<double>(groups) / static_cast<double>(losses);
+  }
+}
+BENCHMARK(BM_KvRebuildFleet)->Arg(16)->Arg(64)->Arg(256)
+    ->ArgNames({"shards"})->UseManualTime()->Unit(benchmark::kMillisecond);
 
 void BM_RingPlace(benchmark::State& state) {
   replicate::HashRing ring(replicate::RingOptions{64, 11});

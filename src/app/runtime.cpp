@@ -248,27 +248,34 @@ void Runtime::load_application(const cfg::ConfigFile& config,
   if (app == nullptr) {
     throw BusError("configuration has no application '" + application + "'");
   }
+  // One preparation per module, at its first instance; later instances
+  // share the compiled image (each still gets its own VM and globals).
+  std::map<std::string, std::shared_ptr<const vm::CompiledProgram>> programs;
   for (const auto& inst : app->instances) {
     const cfg::ModuleSpec* spec = config.find_module(inst.module);
     if (spec == nullptr) {
       throw BusError("application instantiates unknown module '" +
                      inst.module + "'");
     }
-    minic::Program prog = minic::parse_program(source_of(*spec));
-    minic::analyze(prog);
-    if (!spec->reconfig_points.empty()) {
-      xform::prepare_module(prog, spec->reconfig_points, xform_options);
-    }
-    if (optimize) {
-      // The optimizer models the machine's optimizing compiler: it runs on
-      // whatever source the module ships with, transformed or not.
-      (void)opt::optimize(prog);
+    auto [prepared, first] = programs.try_emplace(inst.module);
+    if (first) {
+      minic::Program prog = minic::parse_program(source_of(*spec));
       minic::analyze(prog);
+      if (!spec->reconfig_points.empty()) {
+        xform::prepare_module(prog, spec->reconfig_points, xform_options);
+      }
+      if (optimize) {
+        // The optimizer models the machine's optimizing compiler: it runs
+        // on whatever source the module ships with, transformed or not.
+        (void)opt::optimize(prog);
+        minic::analyze(prog);
+      }
+      prepared->second =
+          std::make_shared<const vm::CompiledProgram>(vm::compile(prog));
     }
     ModuleImage image;
     image.spec = *spec;
-    image.program =
-        std::make_shared<const vm::CompiledProgram>(vm::compile(prog));
+    image.program = prepared->second;
     install_module(inst.instance_name(), std::move(image), inst.machine,
                    "new");
     start_module(inst.instance_name());

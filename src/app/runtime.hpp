@@ -121,13 +121,16 @@ class Runtime {
   using SourceProvider =
       std::function<std::string(const cfg::ModuleSpec& spec)>;
 
-  /// Builds an application from its configuration: for every instance,
-  /// fetches the module's MiniC source, transforms it when the module
-  /// declares reconfiguration points, optionally optimizes it (constant
-  /// folding + loop-invariant hoisting; see surgeon::opt), compiles,
-  /// installs, and starts it; then applies the bindings. Instance names
-  /// equal module names (the configuration language instantiates each
-  /// module once, as in Figure 2).
+  /// Builds an application from its configuration. Each module is prepared
+  /// once, at its first instance: `source_of` is called once per module,
+  /// and the source is parsed, transformed when the module declares
+  /// reconfiguration points, optionally optimized (constant folding +
+  /// loop-invariant hoisting; see surgeon::opt) and compiled, so a throw
+  /// from any stage surfaces there. Every instance of the module shares
+  /// that immutable image; each gets its own spec copy, VM, globals and bus
+  /// registration under its instance name (`instance m as name`, or the
+  /// module's name). Instances are installed and started in configuration
+  /// order, then the bindings are applied. Nothing is cached across calls.
   void load_application(const cfg::ConfigFile& config,
                         const std::string& application,
                         const SourceProvider& source_of,

@@ -107,7 +107,7 @@ BindingEnd Bus::endpoint_name(EndpointRef ref) const {
   return BindingEnd{ep.module, ep.spec.name};
 }
 
-// --- adjacency compilation ----------------------------------------------------
+// --- the bind table: per-endpoint peer lists ----------------------------------
 
 void Bus::link_endpoints(EndpointId a, EndpointId b) {
   auto one_way = [this](EndpointId src_slot, EndpointId dst_slot) {
@@ -124,32 +124,26 @@ void Bus::link_endpoints(EndpointId a, EndpointId b) {
   if (a != b) one_way(b, a);
 }
 
-void Bus::unlink_endpoints(EndpointId a, EndpointId b) {
-  std::erase_if(slab_[a].peers, [&](const PeerLink& pl) {
-    return endpoint_slot(pl.ref) == b;
-  });
-  if (a != b) {
-    std::erase_if(slab_[b].peers, [&](const PeerLink& pl) {
-      return endpoint_slot(pl.ref) == a;
-    });
-  }
+Bus::LinkUndo Bus::erase_peer(EndpointId a, EndpointId b) {
+  std::vector<PeerLink>& peers = slab_[a].peers;
+  const auto it = std::ranges::find(
+      peers, b, [](const PeerLink& pl) { return endpoint_slot(pl.ref); });
+  LinkUndo entry{.slot = a,
+                 .other = b,
+                 .added = false,
+                 .index = static_cast<std::uint32_t>(it - peers.begin()),
+                 .link = *it};
+  peers.erase(it);
+  return entry;
 }
 
 bool Bus::linked(EndpointId a, EndpointId b) const {
-  for (const PeerLink& pl : slab_[a].peers) {
-    if (endpoint_slot(pl.ref) == b) return true;
-  }
-  return false;
-}
-
-void Bus::rebuild_adjacency() {
-  for (Endpoint& ep : slab_) ep.peers.clear();
-  // Per-endpoint peer order falls out of bind-table order, matching what the
-  // old per-send bindings_ scan produced — chaos golden runs depend on it.
-  for (const Binding& b : bindings_) {
-    link_endpoints(resolve_slot(b.a.module, b.a.iface),
-                   resolve_slot(b.b.module, b.b.iface));
-  }
+  // Links are symmetric, so the shorter list answers: a hub's thousand
+  // peers are never scanned to check one of its leaves.
+  if (slab_[a].peers.size() > slab_[b].peers.size()) std::swap(a, b);
+  return std::ranges::any_of(slab_[a].peers, [b](const PeerLink& pl) {
+    return endpoint_slot(pl.ref) == b;
+  });
 }
 
 // --- metrics / tracer attachment ---------------------------------------------
@@ -268,15 +262,20 @@ void Bus::remove_module(const std::string& name) {
   std::erase_if(control_, [&](const auto& kv) {
     return kv.second.target == name;
   });
-  std::erase_if(bindings_, [&](const Binding& b) {
-    return b.a.module == name || b.b.module == name;
-  });
+  // Unlink the departing endpoints from their peers' lists in place, so
+  // every other endpoint keeps its bind order. Links among the module's own
+  // endpoints leave with its slots.
+  for (EndpointId slot : r.slots) {
+    for (const PeerLink& pl : slab_[slot].peers) {
+      const EndpointId peer = endpoint_slot(pl.ref);
+      if (slab_[peer].owner != &r) (void)erase_peer(peer, slot);
+    }
+  }
   const std::string machine = r.info.machine;
   for (EndpointId slot : r.slots) release_slot(slot);
   ++module_topology_gen_;
   modules_.erase(name);
   last_state_ctx_.erase(name);
-  rebuild_adjacency();
   if (metrics_on()) {
     metrics_->counter("surgeon_bus_modules_removed_total").inc();
   }
@@ -338,62 +337,53 @@ std::vector<BindingEnd> Bus::bound_peers(EndpointRef ref) const {
   return peers;
 }
 
-void Bus::validate_edit(const BindEdit& edit) const {
-  switch (edit.op) {
-    case BindEdit::Op::kAdd: {
-      const EndpointId a = resolve_slot(edit.a.module, edit.a.iface);
-      const EndpointId b = resolve_slot(edit.b.module, edit.b.iface);
-      if (linked(a, b)) {
-        throw BusError("binding already exists: " + edit.a.module + "." +
-                       edit.a.iface + " -- " + edit.b.module + "." +
-                       edit.b.iface);
-      }
-      break;
-    }
-    case BindEdit::Op::kDel: {
-      auto slot_of = [this](const BindingEnd& e) -> std::optional<EndpointId> {
-        auto mit = modules_.find(e.module);
-        if (mit == modules_.end()) return std::nullopt;
-        auto iit = mit->second.by_iface.find(e.iface);
-        if (iit == mit->second.by_iface.end()) return std::nullopt;
-        return iit->second;
-      };
-      auto a = slot_of(edit.a);
-      auto b = slot_of(edit.b);
-      if (!a.has_value() || !b.has_value() || !linked(*a, *b)) {
-        throw BusError("no such binding to delete: " + edit.a.module + "." +
-                       edit.a.iface + " -- " + edit.b.module + "." +
-                       edit.b.iface);
-      }
-      break;
-    }
-    case BindEdit::Op::kCaptureQueue:
-      (void)resolve_slot(edit.a.module, edit.a.iface);
-      (void)resolve_slot(edit.b.module, edit.b.iface);
-      break;
-    case BindEdit::Op::kRemoveQueue:
-      (void)resolve_slot(edit.a.module, edit.a.iface);
-      break;
+void Bus::apply_link_edit(const BindEdit& edit, std::vector<LinkUndo>& undo) {
+  const auto fail = [&edit](const char* what) {
+    throw BusError(what + edit.a.module + "." + edit.a.iface + " -- " +
+                   edit.b.module + "." + edit.b.iface);
+  };
+  if (edit.op == BindEdit::Op::kAdd) {
+    const EndpointId a = resolve_slot(edit.a.module, edit.a.iface);
+    const EndpointId b = resolve_slot(edit.b.module, edit.b.iface);
+    if (linked(a, b)) fail("binding already exists: ");
+    link_endpoints(a, b);
+    undo.push_back(
+        LinkUndo{.slot = a, .other = b, .added = true, .index = 0, .link = {}});
+    return;
   }
+  // A delete naming an unknown end deletes no binding.
+  const auto slot_of =
+      [this](const BindingEnd& e) -> std::optional<EndpointId> {
+    auto mit = modules_.find(e.module);
+    if (mit == modules_.end()) return std::nullopt;
+    auto iit = mit->second.by_iface.find(e.iface);
+    if (iit == mit->second.by_iface.end()) return std::nullopt;
+    return iit->second;
+  };
+  const auto a = slot_of(edit.a);
+  const auto b = slot_of(edit.b);
+  if (!a.has_value() || !b.has_value() || !linked(*a, *b)) {
+    fail("no such binding to delete: ");
+  }
+  undo.push_back(erase_peer(*a, *b));
+  if (*a != *b) undo.push_back(erase_peer(*b, *a));
 }
 
-void Bus::apply_edit(const BindEdit& edit) {
+void Bus::undo_link_edit(const LinkUndo& entry) {
+  if (entry.added) {
+    slab_[entry.slot].peers.pop_back();
+    if (entry.other != entry.slot) slab_[entry.other].peers.pop_back();
+    return;
+  }
+  std::vector<PeerLink>& peers = slab_[entry.slot].peers;
+  peers.insert(peers.begin() + entry.index, entry.link);
+}
+
+void Bus::apply_queue_edit(const BindEdit& edit) {
   switch (edit.op) {
     case BindEdit::Op::kAdd:
-      bindings_.push_back(Binding{edit.a, edit.b});
-      link_endpoints(resolve_slot(edit.a.module, edit.a.iface),
-                     resolve_slot(edit.b.module, edit.b.iface));
-      break;
-    case BindEdit::Op::kDel: {
-      Binding want{edit.a, edit.b};
-      Binding flipped{edit.b, edit.a};
-      std::erase_if(bindings_, [&](const Binding& b) {
-        return b == want || b == flipped;
-      });
-      unlink_endpoints(resolve_slot(edit.a.module, edit.a.iface),
-                       resolve_slot(edit.b.module, edit.b.iface));
-      break;
-    }
+    case BindEdit::Op::kDel:
+      break;  // applied by apply_link_edit
     case BindEdit::Op::kCaptureQueue: {
       Endpoint& from = endpoint(edit.a.module, edit.a.iface);
       Endpoint& to = endpoint(edit.b.module, edit.b.iface);
@@ -455,17 +445,27 @@ void Bus::apply_edit(const BindEdit& edit) {
 }
 
 void Bus::rebind(const BindEditBatch& batch) {
-  // Validation pass first so the batch is all-or-nothing. kAdd/kDel pairs
-  // that cancel within the batch (delete then re-add the same ends) are
-  // validated against the *current* table; Figure 5 only ever deletes
-  // existing bindings and adds new ones, so sequential validation against
-  // the pre-state plus in-batch adds is sufficient and simplest.
-  std::vector<Binding> saved = bindings_;
+  // Adds and deletes validate and apply in order, each against the table
+  // the edits before it left (Figure 5 only deletes existing bindings and
+  // adds new ones), and log what undoes them; queue commands are checked in
+  // the same pass. A throw anywhere below undoes the log in reverse, so the
+  // batch is all-or-nothing and costs its edits, not the table.
+  std::vector<LinkUndo> undo;
+  undo.reserve(2 * batch.size());  // a log append never throws mid-edit
   try {
     for (const auto& edit : batch.edits()) {
-      validate_edit(edit);
-      if (edit.op == BindEdit::Op::kAdd || edit.op == BindEdit::Op::kDel) {
-        apply_edit(edit);
+      switch (edit.op) {
+        case BindEdit::Op::kAdd:
+        case BindEdit::Op::kDel:
+          apply_link_edit(edit, undo);
+          break;
+        case BindEdit::Op::kCaptureQueue:
+          (void)resolve_slot(edit.a.module, edit.a.iface);
+          (void)resolve_slot(edit.b.module, edit.b.iface);
+          break;
+        case BindEdit::Op::kRemoveQueue:
+          (void)resolve_slot(edit.a.module, edit.a.iface);
+          break;
       }
     }
     // The rebind event is recorded once the bind table has settled and
@@ -500,12 +500,7 @@ void Bus::rebind(const BindEditBatch& batch) {
     }
     // Queue moves happen after the bind table settles, as in Figure 5 where
     // "cap"/"rmq" commands ride in the same atomic batch.
-    for (const auto& edit : batch.edits()) {
-      if (edit.op == BindEdit::Op::kCaptureQueue ||
-          edit.op == BindEdit::Op::kRemoveQueue) {
-        apply_edit(edit);
-      }
-    }
+    for (const auto& edit : batch.edits()) apply_queue_edit(edit);
     if (batch.size() != 0 && metrics_on()) {
       metrics_->counter("surgeon_bus_rebinds_total").inc();
       metrics_
@@ -514,8 +509,7 @@ void Bus::rebind(const BindEditBatch& batch) {
           .observe(batch.size());
     }
   } catch (...) {
-    bindings_ = std::move(saved);
-    rebuild_adjacency();  // adjacency may reflect partially applied edits
+    for (auto it = undo.rbegin(); it != undo.rend(); ++it) undo_link_edit(*it);
     throw;
   }
 }

@@ -11,12 +11,12 @@
 //     (mh_objstate_move).
 //
 // Routing is fully pre-resolved: every (module, interface) pair is interned
-// into a slab slot at registration, bindings compile into per-endpoint
-// adjacency tables of peer refs (rebuilt only when the bind table changes),
-// and the steady-state send→deliver path works on integers — no string
-// hashing, no map walks, no per-hop heap allocation. The string-based API
-// stays as a thin resolution shim; interface resolution is a binding-time
-// cost, as in POLYLITH, not a per-message one.
+// into a slab slot at registration, the bind table is kept as per-endpoint
+// adjacency lists of peer refs (each bind edit touches only the lists of
+// its two ends), and the steady-state send→deliver path works on integers —
+// no string hashing, no map walks, no per-hop heap allocation. The
+// string-based API stays as a thin resolution shim; interface resolution is
+// a binding-time cost, as in POLYLITH, not a per-message one.
 //
 // The bus knows nothing about MiniC, the VM, or the transformation: modules
 // interact with it only through bus::Client (the mh_* primitives).
@@ -192,23 +192,25 @@ class Bus {
 
   void add_binding(const BindingEnd& a, const BindingEnd& b);
   void del_binding(const BindingEnd& a, const BindingEnd& b);
-  [[nodiscard]] const std::vector<Binding>& bindings() const noexcept {
-    return bindings_;
-  }
 
   /// mh_struct_objnames: interface names of a module.
   [[nodiscard]] std::vector<std::string> interface_names(
       const std::string& module) const;
-  /// mh_struct_ifdest / mh_struct_ifsources: peers bound to an interface.
-  /// (Bindings are undirected, so destinations and sources coincide; both
-  /// names are kept for fidelity to the Figure 5 API.)
+  /// mh_struct_ifdest / mh_struct_ifsources: peers bound to an interface,
+  /// in the order their bindings were made. (Bindings are undirected, so
+  /// destinations and sources coincide; both names are kept for fidelity to
+  /// the Figure 5 API.)
   [[nodiscard]] std::vector<BindingEnd> bound_peers(
       const BindingEnd& end) const;
   /// Pre-resolved form: resolves no names. Throws BusError on a stale ref.
   [[nodiscard]] std::vector<BindingEnd> bound_peers(EndpointRef ref) const;
 
-  /// Applies a batch of bind edits atomically (mh_rebind). Either the whole
-  /// batch validates and applies, or nothing changes.
+  /// Applies a batch of bind edits atomically (mh_rebind). Each add or
+  /// delete is validated against the table the edits before it left, then
+  /// applied to its two ends' peer lists and logged; if any edit (or the
+  /// queue moves after them) throws, the log is undone in reverse, so
+  /// either the whole batch applies or the table is exactly as before, peer
+  /// order included. Costs O(edits), not O(table).
   void rebind(const BindEditBatch& batch);
 
   // --- endpoint interning --------------------------------------------------
@@ -444,11 +446,11 @@ class Bus {
 
   struct ModuleRec;  // forward: Endpoint points back at its owner
 
-  /// One compiled adjacency entry: everything a send needs to put a copy on
-  /// the wire toward one peer, resolved when the bind table changes. The
-  /// machine-name pointers alias ModuleInfo strings, which live in map
-  /// nodes and are stable until the module is removed — and every removal
-  /// rebuilds the adjacency.
+  /// One adjacency entry: everything a send needs to put a copy on the wire
+  /// toward one peer, resolved when the binding is made. The machine-name
+  /// pointers alias ModuleInfo strings, which live in map nodes and are
+  /// stable until the module is removed — and a removal unlinks every
+  /// entry that names one of the module's endpoints.
   struct PeerLink {
     EndpointRef ref = kNullEndpointRef;
     bool same_machine = false;
@@ -488,8 +490,9 @@ class Bus {
     /// and the name plus trc::kTerminalSuffix for a receive at a terminal.
     trc::Recorder::Symbol trace_detail = 0;
     trc::Recorder::Symbol trace_terminal_detail = 0;
-    /// Compiled adjacency: peers of this endpoint, rebuilt on bind-table
-    /// changes only.
+    /// The bind table, this endpoint's share of it: one entry per binding
+    /// that involves the endpoint, in the order the bindings were made (a
+    /// self-binding appears once). Adds append, deletes erase in place.
     std::vector<PeerLink> peers;
     // Metric handles, resolved by resolve_endpoint_metrics; null until a
     // registry is attached. Owned by the registry, not the endpoint.
@@ -593,11 +596,25 @@ class Bus {
                                          const std::string& iface) const {
     return slab_[resolve_slot(module, iface)];
   }
-  // Adjacency compilation.
+  /// One applied link edit in Bus::rebind's undo log. An add logs only its
+  /// ends: undone in reverse order, its link is the last entry of both
+  /// lists. A delete logs one record per list it erased from, with the
+  /// removed entry and the index it held, so its undo restores peer order.
+  struct LinkUndo {
+    EndpointId slot = 0;
+    EndpointId other = 0;  // the far end
+    bool added = false;
+    std::uint32_t index = 0;  // deletes: position in `slot`'s list
+    PeerLink link;            // deletes: the removed entry
+  };
+  // The bind table: per-endpoint peer lists.
   void link_endpoints(EndpointId a, EndpointId b);
-  void unlink_endpoints(EndpointId a, EndpointId b);
+  /// Erases `b`'s entry from `a`'s peer list in place; returns the record
+  /// that puts it back.
+  LinkUndo erase_peer(EndpointId a, EndpointId b);
   [[nodiscard]] bool linked(EndpointId a, EndpointId b) const;
-  void rebuild_adjacency();
+  void apply_link_edit(const BindEdit& edit, std::vector<LinkUndo>& undo);
+  void undo_link_edit(const LinkUndo& entry);
   // In-flight pool.
   [[nodiscard]] std::uint32_t inflight_acquire(EndpointRef dst, Message msg);
   void inflight_release(std::uint32_t slot);
@@ -632,8 +649,7 @@ class Bus {
                    const std::vector<std::uint8_t>& bytes);
   void ack_control(const std::string& module, std::uint64_t id);
   void update_reliable_gauges();
-  void validate_edit(const BindEdit& edit) const;
-  void apply_edit(const BindEdit& edit);
+  void apply_queue_edit(const BindEdit& edit);
   void resolve_endpoint_metrics(ModuleRec& r);
   void resolve_trace_symbols(ModuleRec& r);
   [[nodiscard]] bool metrics_on() const noexcept {
@@ -664,7 +680,6 @@ class Bus {
   /// handles from older generations must re-resolve.
   std::uint64_t module_topology_gen_ = 0;
   std::uint64_t next_uid_ = 1;
-  std::vector<Binding> bindings_;
   std::vector<Endpoint> slab_;
   std::uint32_t free_head_ = kNoSlot;
   std::vector<InFlight> inflight_;

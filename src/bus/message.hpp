@@ -96,28 +96,15 @@ struct Message {
   trace::TraceContext trace_ctx;
 };
 
-/// One end of a binding: a (module, interface) pair.
+/// One end of a binding: a (module, interface) pair. A binding is an
+/// unordered connection between two ends: messages written on either end
+/// are delivered to the queue of the other, as in POLYLITH.
 struct BindingEnd {
   std::string module;
   std::string iface;
 
   friend bool operator==(const BindingEnd&, const BindingEnd&) = default;
   friend auto operator<=>(const BindingEnd&, const BindingEnd&) = default;
-};
-
-/// An (unordered) connection between two interfaces. Messages written on
-/// either end are delivered to the queue of the other, as in POLYLITH.
-struct Binding {
-  BindingEnd a;
-  BindingEnd b;
-
-  [[nodiscard]] bool involves(const BindingEnd& e) const noexcept {
-    return a == e || b == e;
-  }
-  [[nodiscard]] const BindingEnd& peer_of(const BindingEnd& e) const {
-    return a == e ? b : a;
-  }
-  friend bool operator==(const Binding&, const Binding&) = default;
 };
 
 }  // namespace surgeon::bus

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -164,7 +165,11 @@ TEST(Runtime, LoadApplicationWiresEverything) {
   EXPECT_TRUE(rt->module_running("display"));
   EXPECT_TRUE(rt->module_running("compute"));
   EXPECT_TRUE(rt->module_running("sensor"));
-  EXPECT_EQ(rt->bus().bindings().size(), 2u);
+  // Both configured bindings, and nothing else, from compute's two ends.
+  EXPECT_EQ(rt->bus().bound_peers({"compute", "display"}),
+            (std::vector<bus::BindingEnd>{{"display", "temper"}}));
+  EXPECT_EQ(rt->bus().bound_peers({"compute", "sensor"}),
+            (std::vector<bus::BindingEnd>{{"sensor", "out"}}));
   EXPECT_EQ(rt->bus().module_info("sensor").machine, "sparc");
   // The compute module was transformed (it declares a reconfiguration
   // point): its program defines the mh_ machinery.
@@ -244,6 +249,90 @@ void main() {
             5);
   EXPECT_EQ(std::get<std::int64_t>(rt->machine_of("e2")->global("served")),
             5);
+}
+
+TEST(Runtime, LoadApplicationCompilesEachModuleOnce) {
+  // Six instances of one module, with the second module's instance in the
+  // middle: the source is fetched and prepared once per module, every
+  // instance of a module runs the same compiled image, and each instance
+  // still has a VM and globals of its own.
+  auto rt = two_machines();
+  cfg::ConfigFile config = cfg::parse_config(R"(
+module worker {
+  server interface req pattern = {integer} returns = {integer} ::
+  reconfiguration point = {RP} ::
+}
+module caller {
+  client interface a pattern = {integer} accepts = {integer} ::
+  client interface b pattern = {integer} accepts = {integer} ::
+}
+application fleet {
+  instance worker as w0 on "vax" ::
+  instance worker as w1 on "sparc" ::
+  instance worker as w2 on "vax" ::
+  instance caller on "vax" ::
+  instance worker as w3 on "sparc" ::
+  instance worker as w4 on "vax" ::
+  instance worker as w5 on "sparc" ::
+  bind "caller a" "w0 req" ::
+  bind "caller b" "w4 req" ::
+}
+)");
+  std::map<std::string, int> fetched;
+  rt->load_application(config, "fleet", [&](const cfg::ModuleSpec& spec) {
+    ++fetched[spec.name];
+    if (spec.name == "worker") {
+      return std::string(R"(
+int served = 0;
+void main() {
+  int x;
+  while (1) {
+    mh_read("req", "i", &x);
+RP:
+    served = served + x;
+    mh_write("req", "i", x);
+  }
+}
+)");
+    }
+    return std::string(R"(
+void main() {
+  int i; int r;
+  i = 1;
+  while (i <= 3) {
+    mh_write("a", "i", i);
+    mh_write("b", "i", i * 10);
+    mh_read("a", "i", &r);
+    mh_read("b", "i", &r);
+    i = i + 1;
+  }
+}
+)");
+  });
+  EXPECT_EQ(fetched,
+            (std::map<std::string, int>{{"caller", 1}, {"worker", 1}}));
+  const std::vector<std::string> workers{"w0", "w1", "w2", "w3", "w4", "w5"};
+  const ModuleImage* first = rt->image_of("w0");
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(rt->image_of("caller"), nullptr);
+  EXPECT_NE(rt->image_of("caller")->program.get(), first->program.get());
+  for (const std::string& w : workers) {
+    const ModuleImage* image = rt->image_of(w);
+    ASSERT_NE(image, nullptr) << w;
+    EXPECT_EQ(image->program.get(), first->program.get()) << w;
+    EXPECT_EQ(image->spec.name, "worker") << w;
+    EXPECT_TRUE(rt->module_running(w)) << w;
+  }
+  EXPECT_NE(rt->machine_of("w0"), rt->machine_of("w4"));
+  ASSERT_TRUE(rt->run_until(
+      [&] { return rt->module_finished("caller"); }, 10'000'000));
+  rt->check_faults();
+  const auto served = [&](const std::string& w) {
+    return std::get<std::int64_t>(rt->machine_of(w)->global("served"));
+  };
+  EXPECT_EQ(served("w0"), 1 + 2 + 3);
+  EXPECT_EQ(served("w4"), 10 + 20 + 30);
+  EXPECT_EQ(served("w1"), 0);
 }
 
 TEST(Runtime, LoadApplicationErrors) {

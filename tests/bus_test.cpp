@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "bus/bus.hpp"
 #include "bus/client.hpp"
 #include "trace/assemble.hpp"
@@ -138,6 +145,200 @@ TEST_F(BusTest, RebindIsAtomicOnFailure) {
   EXPECT_THROW(bus_.rebind(batch), BusError);
   // The delete must have been rolled back.
   EXPECT_EQ(bus_.bound_peers({"a", "out"}).size(), 1u);
+}
+
+// The bind table's reference semantics: one flat list of bindings in the
+// order they were made. An endpoint's peers are the far ends of the
+// bindings that involve it, in list order (a self-binding once). Adds
+// append, deletes erase in place, and removing a module erases every
+// binding that names it.
+class BindTableModel {
+ public:
+  using Link = std::pair<BindingEnd, BindingEnd>;
+
+  [[nodiscard]] const std::vector<Link>& links() const { return links_; }
+  [[nodiscard]] bool bound(const BindingEnd& a, const BindingEnd& b) const {
+    return std::ranges::any_of(links_,
+                               [&](const Link& l) { return is(l, a, b); });
+  }
+  void add(const BindingEnd& a, const BindingEnd& b) {
+    links_.emplace_back(a, b);
+  }
+  void del(const BindingEnd& a, const BindingEnd& b) {
+    std::erase_if(links_, [&](const Link& l) { return is(l, a, b); });
+  }
+  void remove_module(const std::string& module) {
+    std::erase_if(links_, [&](const Link& l) {
+      return l.first.module == module || l.second.module == module;
+    });
+  }
+  [[nodiscard]] std::vector<BindingEnd> peers(const BindingEnd& end) const {
+    std::vector<BindingEnd> out;
+    for (const Link& l : links_) {
+      if (l.first == end) {
+        out.push_back(l.second);
+      } else if (l.second == end) {
+        out.push_back(l.first);
+      }
+    }
+    return out;
+  }
+
+ private:
+  static bool is(const Link& l, const BindingEnd& a, const BindingEnd& b) {
+    return (l.first == a && l.second == b) || (l.first == b && l.second == a);
+  }
+  std::vector<Link> links_;
+};
+
+// A seeded walk over 5 modules x 3 interfaces: single adds (some of bound
+// pairs, which must throw) and deletes, multi-edit rebind batches, and
+// remove_module followed by a re-add. A third of the batches carry a bad
+// edit (a duplicate add, a delete of an unbound pair, an unknown interface
+// or module) after valid adds and deletes, so their undo must restore every
+// list exactly. After every step each endpoint's bound_peers must equal the
+// flat model's.
+TEST_F(BusTest, AdjacencyMatchesTheBindTableModel) {
+  const std::vector<std::string> modules{"m0", "m1", "m2", "m3", "m4"};
+  const std::vector<std::string> ifaces{"p", "q", "r"};
+  const auto info_of = [&](std::size_t i) {
+    ModuleInfo info;
+    info.name = modules[i];
+    info.machine = i % 2 == 0 ? "vax" : "sparc";
+    for (const std::string& f : ifaces) {
+      info.interfaces.push_back(InterfaceSpec{f, IfaceRole::kClient, "i", "i"});
+    }
+    return info;
+  };
+  for (std::size_t i = 0; i < modules.size(); ++i) bus_.add_module(info_of(i));
+  BindTableModel model;
+  std::mt19937_64 rng(19);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const auto any_end = [&] {
+    return BindingEnd{modules[pick(modules.size())],
+                      ifaces[pick(ifaces.size())]};
+  };
+  // Ends of an unbound pair (sometimes one end twice: a self-binding).
+  const auto unbound_pair = [&](const BindTableModel& m)
+      -> std::optional<BindTableModel::Link> {
+    for (int tries = 0; tries < 64; ++tries) {
+      BindingEnd a = any_end();
+      BindingEnd b = any_end();
+      if (!m.bound(a, b)) return BindTableModel::Link{a, b};
+    }
+    return std::nullopt;
+  };
+  // A bound pair of `m`, ends in either order.
+  const auto bound_pair = [&](const BindTableModel& m) {
+    BindTableModel::Link l = m.links()[pick(m.links().size())];
+    if (pick(2) == 0) std::swap(l.first, l.second);
+    return l;
+  };
+  // Appends `count` valid link edits, applying them to `m`: a delete first
+  // (when anything is bound), then an add, then either; now and then an
+  // rmq. Returns whether it appended both an add and a delete.
+  const auto append_valid = [&](BindTableModel& m, BindEditBatch& batch,
+                                std::size_t count) {
+    bool added = false;
+    bool deleted = false;
+    for (std::size_t k = 0; k < count; ++k) {
+      if (!m.links().empty() && (k == 0 || (k > 1 && pick(2) == 0))) {
+        const auto [a, b] = bound_pair(m);
+        batch.add(BindEdit{BindEdit::Op::kDel, a, b});
+        m.del(a, b);
+        deleted = true;
+      } else if (const auto pair = unbound_pair(m)) {
+        batch.add(BindEdit{BindEdit::Op::kAdd, pair->first, pair->second});
+        m.add(pair->first, pair->second);
+        added = true;
+      }
+      if (pick(8) == 0) {
+        batch.add(BindEdit{BindEdit::Op::kRemoveQueue, any_end(), {}});
+      }
+    }
+    return added && deleted;
+  };
+  // An edit that fails validation against the in-batch table `m`.
+  const auto bad_edit = [&](const BindTableModel& m) {
+    const std::size_t kind = pick(4);
+    if (kind == 0 && !m.links().empty()) {
+      const auto [a, b] = bound_pair(m);
+      return BindEdit{BindEdit::Op::kAdd, a, b};  // already bound
+    }
+    if (kind == 1) {
+      if (const auto pair = unbound_pair(m)) {
+        return BindEdit{BindEdit::Op::kDel, pair->first, pair->second};
+      }
+    }
+    if (kind == 3) {
+      return BindEdit{BindEdit::Op::kCaptureQueue, any_end(), {"ghost", "p"}};
+    }
+    return BindEdit{BindEdit::Op::kAdd, any_end(),
+                    {modules[pick(modules.size())], "nosuch"}};
+  };
+  std::size_t longest_list = 0;
+  const auto expect_model = [&](const std::string& where) {
+    for (const std::string& m : modules) {
+      for (const std::string& f : ifaces) {
+        const BindingEnd end{m, f};
+        const std::vector<BindingEnd> want = model.peers(end);
+        EXPECT_EQ(bus_.bound_peers(end), want)
+            << where << ": peers of " << m << "." << f;
+        longest_list = std::max(longest_list, want.size());
+      }
+    }
+  };
+
+  int undone_mixed_batches = 0;
+  int removals = 0;
+  for (int step = 0; step < 600 && !HasFailure(); ++step) {
+    const std::string where = "step " + std::to_string(step);
+    const std::size_t roll = pick(100);
+    if (roll < 30) {
+      const BindingEnd a = any_end();
+      const BindingEnd b = any_end();
+      if (model.bound(a, b)) {
+        EXPECT_THROW(bus_.add_binding(a, b), BusError) << where;
+      } else {
+        bus_.add_binding(a, b);
+        model.add(a, b);
+      }
+    } else if (roll < 45) {
+      if (model.links().empty()) continue;
+      const auto [a, b] = bound_pair(model);
+      bus_.del_binding(a, b);
+      model.del(a, b);
+      EXPECT_THROW(bus_.del_binding(a, b), BusError) << where;
+    } else if (roll < 92) {
+      BindTableModel after = model;
+      BindEditBatch batch;
+      const bool mixed = append_valid(after, batch, 2 + pick(7));
+      if (pick(3) == 0) {
+        batch.add(bad_edit(after));
+        (void)append_valid(after, batch, pick(3));  // never applied
+        EXPECT_THROW(bus_.rebind(batch), BusError) << where;
+        if (mixed) ++undone_mixed_batches;
+      } else {
+        bus_.rebind(batch);
+        model = std::move(after);
+      }
+    } else {
+      const std::size_t i = pick(modules.size());
+      bus_.remove_module(modules[i]);
+      model.remove_module(modules[i]);
+      expect_model(where + " after removing " + modules[i]);
+      bus_.add_module(info_of(i));
+      ++removals;
+    }
+    expect_model(where);
+  }
+  // The walk reached the cases it exists for: undone batches that mixed
+  // adds and deletes, removals, and lists long enough for order to matter.
+  EXPECT_GE(undone_mixed_batches, 40);
+  EXPECT_GE(removals, 20);
+  EXPECT_GE(longest_list, 4u);
 }
 
 TEST_F(BusTest, QueueCaptureMovesMessages) {
