@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "bus/native.hpp"
 #include "minic/parser.hpp"
 #include "minic/sema.hpp"
 #include "opt/optimizer.hpp"
@@ -161,11 +162,13 @@ void Runtime::crash_now(ProcessIt it, const std::string& detail) {
 void Runtime::crash_module(const std::string& instance,
                            const std::string& detail) {
   auto it = processes_.find(instance);
-  if (it == processes_.end()) {
+  if (it != processes_.end()) {
+    if (!it->second.finished) crash_now(it, detail);  // else dead or done
+  } else if (bus::NativeModule* native = bus_.native(instance)) {
+    (void)native->crash(detail);
+  } else {
     throw BusError("crash_module: " + instance + " has no process");
   }
-  if (it->second.finished) return;  // already dead or done
-  crash_now(it, detail);
 }
 
 std::vector<std::string> Runtime::crash_machine(const std::string& machine,
@@ -181,6 +184,14 @@ std::vector<std::string> Runtime::crash_machine(const std::string& machine,
     crash_now(it, detail);
     killed.push_back(it->first);
   }
+  for (const std::string& name : bus_.module_names()) {
+    bus::NativeModule* native = bus_.native(name);
+    if (native != nullptr && native->machine() == machine &&
+        native->crash(detail)) {
+      killed.push_back(name);
+    }
+  }
+  std::sort(killed.begin(), killed.end());
   dead_machines_.insert(machine);
   return killed;
 }
@@ -201,6 +212,12 @@ void Runtime::restart_module(const std::string& instance) {
   }
   drop_process(instance);
   start_module(instance);
+}
+
+bool Runtime::module_crashed(const std::string& instance) const {
+  if (crashed_.contains(instance)) return true;
+  const bus::NativeModule* native = bus_.native(instance);
+  return native != nullptr && native->crashed();
 }
 
 bool Runtime::module_running(const std::string& instance) const {

@@ -78,15 +78,19 @@ class Runtime {
 
   /// Kills the instance's process immediately: the VM stops, in-memory state
   /// is lost, but the bus registration (endpoints, queues, bindings) stays,
-  /// exactly as when a POLYLITH process dies on its host. Reconfiguration
-  /// scripts observe the death through module_crashed().
+  /// exactly as when a POLYLITH process dies on its host. A native module
+  /// (bus::NativeModule), reached through its bus registration, stops
+  /// ticking and answering its query the same way. Reconfiguration scripts
+  /// observe the death through module_crashed(). Throws BusError when the
+  /// instance is neither a process nor a native module.
   void crash_module(const std::string& instance,
                     const std::string& detail = "injected");
-  /// Machine failure: kills EVERY live process hosted on `machine` at once
-  /// (heartbeats from all of them stop on the same tick -- what a machine-
-  /// level failure detector aggregates). Bus registrations stay, like
-  /// crash_module; the machine is remembered as dead (machine_dead()) so
-  /// placement layers exclude it. Returns the killed instances, name order.
+  /// Machine failure: kills EVERY live process and native module hosted on
+  /// `machine` at once (heartbeats from all of them stop on the same tick --
+  /// what a machine-level failure detector aggregates). Bus registrations
+  /// stay, like crash_module; the machine is remembered as dead
+  /// (machine_dead()) so placement layers exclude it. Returns the killed
+  /// instances, name order.
   std::vector<std::string> crash_machine(
       const std::string& machine, const std::string& detail = "machine lost");
   /// Has crash_machine been called for this machine?
@@ -103,11 +107,12 @@ class Runtime {
   /// that many virtual microseconds later.
   void crash_after(const std::string& instance, std::uint64_t insns,
                    net::SimTime restart_after_us = 0);
-  /// Restarts a crashed module from its installed image (state lost).
+  /// Restarts a crashed module from its installed image (state lost). VM
+  /// modules only: a crashed native module stays down.
   void restart_module(const std::string& instance);
-  [[nodiscard]] bool module_crashed(const std::string& instance) const {
-    return crashed_.contains(instance);
-  }
+  /// Did the instance's process, or the native module registered under
+  /// its name, crash?
+  [[nodiscard]] bool module_crashed(const std::string& instance) const;
   /// Direct access to a running module's VM (tests and benchmarks); null if
   /// the instance has no process.
   [[nodiscard]] vm::Machine* machine_of(const std::string& instance);

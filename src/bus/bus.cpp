@@ -201,7 +201,7 @@ void Bus::set_request_terminal(const std::string& module,
 
 // --- module / binding configuration ------------------------------------------
 
-void Bus::add_module(ModuleInfo info) {
+void Bus::add_module(ModuleInfo info, NativeModule* native) {
   if (modules_.contains(info.name)) {
     throw BusError("module already registered: " + info.name);
   }
@@ -222,6 +222,7 @@ void Bus::add_module(ModuleInfo info) {
   auto [it, inserted] = modules_.emplace(name, ModuleRec{});
   ModuleRec& r = it->second;
   r.info = std::move(info);
+  r.native = native;
   r.uid = next_uid_++;
   for (const InterfaceSpec& spec : r.info.interfaces) {
     const EndpointId slot = acquire_slot();
@@ -284,6 +285,21 @@ void Bus::remove_module(const std::string& name) {
 
 const ModuleInfo& Bus::module_info(const std::string& name) const {
   return rec(name).info;
+}
+
+NativeModule* Bus::native(const std::string& name) const {
+  const auto it = modules_.find(name);
+  return it == modules_.end() ? nullptr : it->second.native;
+}
+
+void Bus::clear_query_server(const std::string& query,
+                             const NativeModule* module) {
+  if (query_server(query) == module) query_servers_.erase(query);
+}
+
+const NativeModule* Bus::query_server(const std::string& query) const {
+  const auto it = query_servers_.find(query);
+  return it == query_servers_.end() ? nullptr : it->second;
 }
 
 std::vector<std::string> Bus::module_names() const {

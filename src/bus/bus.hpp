@@ -150,17 +150,7 @@ using StateObserver = std::function<void(
     const std::string& module, const char* phase,
     const std::vector<std::uint8_t>& bytes)>;
 
-/// Answers the mh_top cluster-telemetry query ("table" or "json"). The bus
-/// itself knows nothing about aggregation: whichever collector is currently
-/// active registers itself here (profile::Collector), and bus::Client::mh_top
-/// forwards to it — so the query keeps working while the collector is being
-/// replaced, served from the instance that currently owns the windows.
-using TopHandler = std::function<std::string(const std::string& format)>;
-
-/// Answers the mh_slo query ("text" or "json"), same ownership discipline as
-/// TopHandler: whichever slo::Monitor currently owns the objective windows
-/// registers itself, so the query survives monitor replacement.
-using SloHandler = std::function<std::string(const std::string& format)>;
+class NativeModule;  // bus/native.hpp
 
 class Bus {
  public:
@@ -178,8 +168,9 @@ class Bus {
   // --- configuration (reconfiguration primitives of ref [9]) -------------
 
   /// Registers a module. Throws BusError on duplicate name, unknown
-  /// machine, or duplicate interface names.
-  void add_module(ModuleInfo info);
+  /// machine, or duplicate interface names. A NativeModule passes itself as
+  /// `native`, so it can be reached through its registration.
+  void add_module(ModuleInfo info, NativeModule* native = nullptr);
   /// Removes a module and every binding that involves it.
   void remove_module(const std::string& name);
   [[nodiscard]] bool has_module(const std::string& name) const {
@@ -188,6 +179,9 @@ class Bus {
   /// mh_obj_cap: the current specification of a module (reflects dynamic
   /// changes, not the original configuration file).
   [[nodiscard]] const ModuleInfo& module_info(const std::string& name) const;
+  /// The native module registered as `name`; null for a VM module's
+  /// registration or an unknown name.
+  [[nodiscard]] NativeModule* native(const std::string& name) const;
   [[nodiscard]] std::vector<std::string> module_names() const;
 
   void add_binding(const BindingEnd& a, const BindingEnd& b);
@@ -379,35 +373,19 @@ class Bus {
     return metrics_;
   }
 
-  /// Installs the mh_top query handler. Returns a token identifying this
-  /// installation; a later set overwrites (collector replacement: the clone
-  /// takes over the query). clear_top_handler(token) detaches only if the
-  /// token still names the current handler, so a retiring instance never
-  /// tears down its successor.
-  std::uint64_t set_top_handler(TopHandler handler) {
-    top_handler_ = std::move(handler);
-    return ++top_token_;
+  /// The module answering a query (mh_top asks "top", mh_slo "slo"): the
+  /// native module owning the data registers when it activates, so the
+  /// query follows a replacement to the clone. The latest registration
+  /// wins; clearing detaches only the module named, never a successor.
+  void set_query_server(const std::string& query,
+                        const NativeModule* module) {
+    query_servers_[query] = module;
   }
-  void clear_top_handler(std::uint64_t token) {
-    if (token == top_token_) top_handler_ = nullptr;
-  }
-  [[nodiscard]] const TopHandler& top_handler() const noexcept {
-    return top_handler_;
-  }
-
-  /// Installs the mh_slo query handler (same token discipline as
-  /// set_top_handler: latest installation wins, a stale token never clears
-  /// its successor).
-  std::uint64_t set_slo_handler(SloHandler handler) {
-    slo_handler_ = std::move(handler);
-    return ++slo_token_;
-  }
-  void clear_slo_handler(std::uint64_t token) {
-    if (token == slo_token_) slo_handler_ = nullptr;
-  }
-  [[nodiscard]] const SloHandler& slo_handler() const noexcept {
-    return slo_handler_;
-  }
+  void clear_query_server(const std::string& query,
+                          const NativeModule* module);
+  /// Null when no module serves `query`.
+  [[nodiscard]] const NativeModule* query_server(
+      const std::string& query) const;
 
   /// Marks (module, iface) as a request entry point: every message the
   /// module sends on that interface opens a fresh request id, carried in
@@ -542,6 +520,7 @@ class Bus {
     bool reconfig_signaled = false;
     std::optional<std::vector<std::uint8_t>> divulged_state;
     std::optional<std::vector<std::uint8_t>> incoming_state;
+    NativeModule* native = nullptr;  // null for a VM module
     /// Unique instance id; in-flight control toward a deleted-and-recreated
     /// name is discarded by comparing it.
     std::uint64_t uid = 0;
@@ -687,10 +666,7 @@ class Bus {
   std::function<void(const std::string&)> wake_;
   BusStats stats_;
   obs::MetricsRegistry* metrics_ = nullptr;
-  TopHandler top_handler_;
-  std::uint64_t top_token_ = 0;
-  SloHandler slo_handler_;
-  std::uint64_t slo_token_ = 0;
+  std::map<std::string, const NativeModule*> query_servers_;
   trc::Recorder* tracer_ = nullptr;
   /// Last divulge / rebind events: the causal anchors for state deliveries
   /// (divulge happens-before every objstate apply) and queue captures.

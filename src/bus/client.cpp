@@ -1,5 +1,6 @@
 #include "bus/client.hpp"
 
+#include "bus/native.hpp"
 #include "obs/export.hpp"
 #include "support/diag.hpp"
 #include "trace/assemble.hpp"
@@ -27,9 +28,9 @@ std::string Client::mh_top(const std::string& format) const {
     throw support::BusError("mh_top: unknown format '" + format +
                             "' (expected \"table\" or \"json\")");
   }
-  const TopHandler& handler = bus_->top_handler();
-  if (!handler) return format == "json" ? "{}" : "";
-  return handler(format);
+  const NativeModule* server = bus_->query_server("top");
+  if (server == nullptr) return format == "json" ? "{}" : "";
+  return server->answer(format);
 }
 
 std::string Client::mh_slo(const std::string& format) const {
@@ -37,9 +38,9 @@ std::string Client::mh_slo(const std::string& format) const {
     throw support::BusError("mh_slo: unknown format '" + format +
                             "' (expected \"text\" or \"json\")");
   }
-  const SloHandler& handler = bus_->slo_handler();
-  if (!handler) return format == "json" ? "{}" : "";
-  return handler(format);
+  const NativeModule* server = bus_->query_server("slo");
+  if (server == nullptr) return format == "json" ? "{}" : "";
+  return server->answer(format);
 }
 
 std::string Client::mh_trace(const std::string& format, bool drain) {

@@ -43,36 +43,16 @@ constexpr std::int64_t kInfBound = -1;
 Reporter::Reporter(bus::Bus& bus, obs::MetricsRegistry& registry,
                    std::string machine, std::string collector_module,
                    net::SimTime interval_us)
-    : bus_(&bus),
-      registry_(&registry),
-      machine_(std::move(machine)),
-      module_("telemetry@" + machine_),
-      client_(bus, module_),
-      interval_us_(interval_us) {
-  bus::ModuleInfo info;
-  info.name = module_;
-  info.machine = machine_;
-  info.source = kTelemetrySource;
-  info.interfaces.push_back(
-      bus::InterfaceSpec{"deltas", bus::IfaceRole::kDefine, "", ""});
-  bus_->add_module(std::move(info));
-  bus_->add_binding(bus::BindingEnd{module_, "deltas"},
-                    bus::BindingEnd{std::move(collector_module), "ingest"});
-  schedule_tick();
-}
-
-Reporter::~Reporter() {
-  stop();
-  if (bus_->has_module(module_)) bus_->remove_module(module_);
-}
-
-void Reporter::schedule_tick() {
-  std::weak_ptr<int> alive = alive_;
-  bus_->simulator().schedule_after(interval_us_, [this, alive] {
-    if (alive.expired()) return;
-    flush();
-    schedule_tick();
-  });
+    : NativeModule(
+          bus,
+          {.name = "telemetry@" + machine,
+           .machine = machine,
+           .source = kTelemetrySource,
+           .interfaces = {{"deltas", bus::IfaceRole::kDefine, "", ""}}},
+          interval_us, interval_us),
+      registry_(&registry) {
+  bus.add_binding(bus::BindingEnd{module_name(), "deltas"},
+                  bus::BindingEnd{std::move(collector_module), "ingest"});
 }
 
 void Reporter::flush() {
@@ -84,9 +64,9 @@ void Reporter::flush() {
       [&](const obs::Labels& labels) -> std::pair<const bus::ModuleInfo*,
                                                   std::string> {
     const std::string* module = label_of(labels, "module");
-    if (module == nullptr || !bus_->has_module(*module)) return {nullptr, ""};
-    const bus::ModuleInfo& info = bus_->module_info(*module);
-    if (info.machine != machine_ || info.source == kTelemetrySource) {
+    if (module == nullptr || !bus().has_module(*module)) return {nullptr, ""};
+    const bus::ModuleInfo& info = bus().module_info(*module);
+    if (info.machine != machine() || info.source == kTelemetrySource) {
       return {nullptr, ""};
     }
     const std::string* iface = label_of(labels, "iface");
@@ -102,11 +82,11 @@ void Reporter::flush() {
     if (value == last) continue;
     const std::uint64_t delta = value - last;
     last = value;
-    client_.write("deltas",
-                  {ser::Value{machine_}, ser::Value{info->name},
-                   ser::Value{iface}, ser::Value{key.first},
-                   ser::Value{std::string{"c"}},
-                   ser::Value{static_cast<std::int64_t>(delta)}});
+    client().write("deltas",
+                   {ser::Value{machine()}, ser::Value{info->name},
+                    ser::Value{iface}, ser::Value{key.first},
+                    ser::Value{std::string{"c"}},
+                    ser::Value{static_cast<std::int64_t>(delta)}});
     ++deltas_sent_;
   }
   for (const auto& [key, gauge] : registry_->gauges()) {
@@ -116,9 +96,9 @@ void Reporter::flush() {
     auto it = last_gauge_.find(key);
     if (it != last_gauge_.end() && it->second == value) continue;
     last_gauge_[key] = value;
-    client_.write("deltas", {ser::Value{machine_}, ser::Value{info->name},
-                             ser::Value{iface}, ser::Value{key.first},
-                             ser::Value{std::string{"g"}}, ser::Value{value}});
+    client().write("deltas", {ser::Value{machine()}, ser::Value{info->name},
+                              ser::Value{iface}, ser::Value{key.first},
+                              ser::Value{std::string{"g"}}, ser::Value{value}});
     ++deltas_sent_;
   }
   for (const auto& [key, hist] : registry_->histograms()) {
@@ -128,7 +108,7 @@ void Reporter::flush() {
     std::vector<std::uint64_t>& last = last_hist_[key];
     if (last.size() != counts.size()) last.assign(counts.size(), 0);
     std::vector<ser::Value> values = {
-        ser::Value{machine_}, ser::Value{info->name}, ser::Value{iface},
+        ser::Value{machine()}, ser::Value{info->name}, ser::Value{iface},
         ser::Value{key.first}, ser::Value{std::string{"h"}}};
     bool changed = false;
     for (std::size_t i = 0; i < counts.size(); ++i) {
@@ -144,7 +124,7 @@ void Reporter::flush() {
       changed = true;
     }
     if (!changed) continue;
-    client_.write("deltas", std::move(values));
+    client().write("deltas", std::move(values));
     ++deltas_sent_;
   }
 }
@@ -154,71 +134,18 @@ void Reporter::flush() {
 Collector::Collector(bus::Bus& bus, std::string module_name,
                      std::string machine, CollectorOptions options,
                      std::string status)
-    : bus_(&bus),
-      module_(std::move(module_name)),
-      machine_(std::move(machine)),
-      options_(options),
-      client_(bus, module_) {
-  bus::ModuleInfo info;
-  info.name = module_;
-  info.machine = machine_;
-  info.status = status;
-  info.source = kTelemetrySource;
-  info.interfaces.push_back(
-      bus::InterfaceSpec{"ingest", bus::IfaceRole::kUse, "", ""});
-  bus_->add_module(std::move(info));
-  if (status == "new") activate();
-  schedule_tick();
-}
+    : NativeModule(bus,
+                   {.name = std::move(module_name),
+                    .machine = std::move(machine),
+                    .status = std::move(status),
+                    .source = kTelemetrySource,
+                    .interfaces = {{"ingest", bus::IfaceRole::kUse, "", ""}}},
+                   options.tick_us, options.tick_us, "top"),
+      options_(options) {}
 
-Collector::~Collector() {
-  bus_->clear_top_handler(top_token_);
-  retire();
-}
-
-void Collector::retire() {
-  alive_.reset();
-  if (bus_->has_module(module_)) bus_->remove_module(module_);
-}
-
-void Collector::activate() {
-  active_ = true;
-  top_token_ = bus_->set_top_handler(
-      [this](const std::string& format) { return top(format); });
-}
-
-void Collector::schedule_tick() {
-  std::weak_ptr<int> alive = alive_;
-  bus_->simulator().schedule_after(options_.tick_us, [this, alive] {
-    if (alive.expired()) return;
-    tick();
-  });
-}
-
-void Collector::tick() {
-  if (passivated_) return;  // divulged; awaiting retirement, no reschedule
-  if (!active_) {
-    // Clone discipline (Figure 4): the ingest queue is untouched until the
-    // state buffer arrives. Queued deltas wait, like application traffic.
-    if (bus_->has_incoming_state(module_)) {
-      auto bytes = bus_->take_incoming_state(module_);
-      install_state(ser::StateBuffer::decode(*bytes));
-      // The first drain happens on the NEXT tick: a query right after the
-      // install reads exactly the divulged windows, byte-identical to the
-      // old instance's last answer.
-    }
-    schedule_tick();
-    return;
-  }
-  if (client_.take_pending_signal()) {
-    // Passivate BEFORE draining: anything still queued (or in flight)
-    // belongs to the successor and reaches it via queue capture.
-    (void)client_.encode_state(encode_state());
-    passivated_ = true;
-    return;
-  }
-  while (auto msg = client_.try_read("ingest")) apply(*msg);
-  schedule_tick();
+bool Collector::fold() {
+  while (auto msg = client().try_read("ingest")) apply(*msg);
+  return true;
 }
 
 Collector::Slot& Collector::slot_for(net::SimTime at) {
@@ -241,7 +168,7 @@ void Collector::apply(const bus::Message& msg) {
   SeriesId id{v[0].as_string(), v[1].as_string(), v[2].as_string(),
               v[3].as_string()};
   const std::string& kind = v[4].as_string();
-  const net::SimTime now = bus_->simulator().now();
+  const net::SimTime now = bus().simulator().now();
   if (kind == "c" && v[5].is_int()) {
     slot_for(now).counters[std::move(id)] +=
         static_cast<std::uint64_t>(v[5].as_int());
@@ -303,56 +230,64 @@ ser::StateBuffer Collector::encode_state() const {
   return state;
 }
 
-void Collector::install_state(const ser::StateBuffer& state) {
+void Collector::restore(const ser::StateBuffer& state) {
+  constexpr const char* kWhat = "collector state";
   const auto& frames = state.frames();
-  if (frames.empty() || frames[0].values.size() < 5 ||
-      frames[0].values[0].as_int() != 1) {
+  if (frames.empty() ||
+      bus::state_fields(frames[0], 5, kWhat)[0].as_int() != 1) {
     throw support::BusError("collector state: unknown format");
   }
   // The divulged window geometry wins: merging slots cut at a different
-  // grain would mis-attribute deltas.
-  options_.tick_us = frames[0].values[1].as_int();
-  options_.slot_us = frames[0].values[2].as_int();
-  options_.slots = static_cast<std::size_t>(frames[0].values[3].as_int());
-  slots_.clear();
-  gauges_.clear();
-  const auto id_of = [](const ser::StateFrame& f) {
-    return SeriesId{f.values[1].as_string(), f.values[2].as_string(),
-                    f.values[3].as_string(), f.values[4].as_string()};
+  // grain would mis-attribute deltas. The tick cadence stays the clone's.
+  // Everything is built aside and moved in, so a rejected buffer changes
+  // nothing.
+  CollectorOptions options = options_;
+  options.slot_us = bus::state_count(frames[0].values[2], kWhat);
+  options.slots = bus::state_count(frames[0].values[3], kWhat);
+  if (options.slot_us == 0 || options.slots == 0) {
+    throw support::BusError("collector state: empty window geometry");
+  }
+  std::vector<Slot> slots;
+  std::map<SeriesId, std::int64_t> gauges;
+  const auto id_of = [](const std::vector<ser::Value>& v) {
+    return SeriesId{v[1].as_string(), v[2].as_string(), v[3].as_string(),
+                    v[4].as_string()};
   };
+  // Fields per frame kind: slot, counter, histogram, gauge.
+  constexpr std::size_t kArity[] = {2, 6, 5, 6};
   for (std::size_t i = 1; i < frames.size(); ++i) {
-    const ser::StateFrame& f = frames[i];
-    if (f.values.empty()) throw support::BusError("collector state: bad frame");
-    switch (f.values[0].as_int()) {
+    const std::int64_t kind =
+        bus::state_fields(frames[i], 1, kWhat)[0].as_int();
+    if (kind < 0 || kind > 3) {
+      throw support::BusError("collector state: unknown frame kind");
+    }
+    const std::vector<ser::Value>& v =
+        bus::state_fields(frames[i], kArity[kind], kWhat);
+    if ((kind == 1 || kind == 2) && slots.empty()) {
+      throw support::BusError("collector state: series before slot");
+    }
+    switch (kind) {
       case 0:
-        slots_.push_back(Slot{f.values[1].as_int(), {}, {}});
+        slots.push_back(Slot{bus::state_count(v[1], kWhat), {}, {}});
         break;
       case 1:
-        if (slots_.empty()) {
-          throw support::BusError("collector state: counter before slot");
-        }
-        slots_.back().counters[id_of(f)] =
-            static_cast<std::uint64_t>(f.values[5].as_int());
+        slots.back().counters[id_of(v)] = bus::state_count(v[5], kWhat);
         break;
       case 2: {
-        if (slots_.empty()) {
-          throw support::BusError("collector state: histogram before slot");
-        }
-        auto& buckets = slots_.back().hists[id_of(f)];
-        for (std::size_t j = 5; j + 1 < f.values.size(); j += 2) {
-          buckets[f.values[j].as_int()] =
-              static_cast<std::uint64_t>(f.values[j + 1].as_int());
+        auto& buckets = slots.back().hists[id_of(v)];
+        for (std::size_t j = 5; j + 1 < v.size(); j += 2) {
+          buckets[v[j].as_int()] = bus::state_count(v[j + 1], kWhat);
         }
         break;
       }
-      case 3:
-        gauges_[id_of(f)] = f.values[5].as_int();
-        break;
       default:
-        throw support::BusError("collector state: unknown frame kind");
+        gauges[id_of(v)] = v[5].as_int();
+        break;
     }
   }
-  activate();
+  options_ = options;
+  slots_ = std::move(slots);
+  gauges_ = std::move(gauges);
 }
 
 // --- Collector: the mh_top renderings ----------------------------------------

@@ -22,6 +22,10 @@
 //              abstract state buffer when signalled, and a clone installs
 //              them — no window is lost.
 //
+// Both are bus::NativeModules: registration, the tick chain, stop, crash
+// and the signal/divulge/install handshake live in that base; the two
+// classes keep their folds and, for the collector, its state codec.
+//
 // Window semantics: the window advances with DATA, not with virtual time.
 // A delta is accredited to the slot covering its arrival time; slots are
 // created lazily and pruned to the configured depth. An idle cluster's
@@ -38,14 +42,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "bus/bus.hpp"
-#include "bus/client.hpp"
+#include "bus/native.hpp"
 #include "obs/metrics.hpp"
 #include "serialize/state.hpp"
 
@@ -69,41 +70,30 @@ struct SeriesId {
 
 // --- Reporter ----------------------------------------------------------------
 
-class Reporter {
+class Reporter final : public bus::NativeModule {
  public:
   /// Registers module "telemetry@<machine>" on `machine`, binds its
   /// "deltas" interface to `collector_module`.ingest, and starts ticking
-  /// every `interval_us` of virtual time.
+  /// every `interval_us` of virtual time. stop() ends the stream; the module
+  /// stays registered (its in-flight deltas still need their endpoint)
+  /// until destruction.
   Reporter(bus::Bus& bus, obs::MetricsRegistry& registry, std::string machine,
            std::string collector_module, net::SimTime interval_us = 100'000);
-  ~Reporter();
 
-  Reporter(const Reporter&) = delete;
-  Reporter& operator=(const Reporter&) = delete;
-
-  [[nodiscard]] const std::string& module_name() const noexcept {
-    return module_;
-  }
   /// Diffs and streams immediately (tests; the tick calls this too).
   void flush();
-  /// Stops the tick chain and stops streaming. The module stays registered
-  /// (its in-flight deltas still need their endpoint) until destruction.
-  void stop() noexcept { alive_.reset(); }
 
   [[nodiscard]] std::uint64_t deltas_sent() const noexcept {
     return deltas_sent_;
   }
 
  private:
-  void schedule_tick();
+  bool fold() override {
+    flush();
+    return true;
+  }
 
-  bus::Bus* bus_;
   obs::MetricsRegistry* registry_;
-  std::string machine_;
-  std::string module_;
-  bus::Client client_;
-  net::SimTime interval_us_;
-  std::shared_ptr<int> alive_ = std::make_shared<int>(0);
   std::uint64_t deltas_sent_ = 0;
   // Last reported value per registry series, keyed exactly as the registry
   // keys them so renamed/re-labelled series never collide.
@@ -125,28 +115,17 @@ struct CollectorOptions {
   std::size_t slots = 8;
 };
 
-class Collector {
+class Collector final : public bus::NativeModule {
  public:
   /// Registers the collector module (interfaces: "ingest") on `machine`.
-  /// STATUS "new" activates immediately; "clone" stays passive until a
-  /// state buffer arrives (mh_decode discipline, Figure 4).
+  /// STATUS "new" activates immediately and answers mh_top; "clone" stays
+  /// passive until a state buffer arrives (mh_decode discipline, Figure 4).
   Collector(bus::Bus& bus, std::string module_name, std::string machine,
             CollectorOptions options = {}, std::string status = "new");
-  ~Collector();
 
-  Collector(const Collector&) = delete;
-  Collector& operator=(const Collector&) = delete;
-
-  [[nodiscard]] const std::string& module_name() const noexcept {
-    return module_;
-  }
   [[nodiscard]] const CollectorOptions& options() const noexcept {
     return options_;
   }
-  /// Clone: has the state buffer been installed? ("new": true from start.)
-  [[nodiscard]] bool active() const noexcept { return active_; }
-  /// Signalled and divulged; no longer processing (awaiting retirement).
-  [[nodiscard]] bool passivated() const noexcept { return passivated_; }
   [[nodiscard]] std::uint64_t deltas_applied() const noexcept {
     return deltas_applied_;
   }
@@ -159,22 +138,13 @@ class Collector {
   /// The mh_top rendering: "table" (fixed-width, rate-sorted) or "json"
   /// (deterministic; byte-stable across a replacement of the collector).
   [[nodiscard]] std::string top(const std::string& format) const;
-
-  /// Removes the module from the bus and stops the tick chain.
-  void retire();
-
-  // --- Figure 5 participation (the native-module variant of the VM's
-  // --- capture/restore blocks) --------------------------------------------
+  [[nodiscard]] std::string answer(const std::string& format) const override {
+    return top(format);
+  }
 
   /// The window state as an abstract state buffer (what a reconfiguration
   /// signal makes the collector divulge).
-  [[nodiscard]] ser::StateBuffer encode_state() const;
-  /// Installs a divulged window state and activates (clone side).
-  void install_state(const ser::StateBuffer& state);
-
-  /// One processing step, exposed for deterministic tests; normally driven
-  /// by the virtual-clock tick chain.
-  void tick();
+  [[nodiscard]] ser::StateBuffer encode_state() const override;
 
  private:
   struct Slot {
@@ -184,24 +154,18 @@ class Collector {
     std::map<SeriesId, std::map<std::int64_t, std::uint64_t>> hists;
   };
 
-  void schedule_tick();
-  void activate();
+  bool fold() override;
+  /// Installs a divulged window state. The divulged window geometry wins:
+  /// merging slots cut at a different grain would mis-attribute deltas.
+  void restore(const ser::StateBuffer& state) override;
   void apply(const bus::Message& msg);
   [[nodiscard]] Slot& slot_for(net::SimTime at);
   [[nodiscard]] std::string top_json() const;
   [[nodiscard]] std::string top_table() const;
 
-  bus::Bus* bus_;
-  std::string module_;
-  std::string machine_;
   CollectorOptions options_;
-  bus::Client client_;
-  bool active_ = false;
-  bool passivated_ = false;
   std::uint64_t deltas_applied_ = 0;
   std::uint64_t malformed_ = 0;
-  std::uint64_t top_token_ = 0;
-  std::shared_ptr<int> alive_ = std::make_shared<int>(0);
   std::vector<Slot> slots_;  // oldest first; size <= options_.slots
   std::map<SeriesId, std::int64_t> gauges_;
 };

@@ -40,13 +40,7 @@
 #include <vector>
 
 #include "app/runtime.hpp"
-
-namespace surgeon::profile {
-class Collector;
-}
-namespace surgeon::slo {
-class Monitor;
-}
+#include "bus/native.hpp"
 
 namespace surgeon::reconfig {
 
@@ -300,15 +294,40 @@ ReplaceReport run_transaction(app::Runtime& rt, const std::string& source,
 ReplaceReport replace_module(app::Runtime& rt, const std::string& instance,
                              const ReplaceOptions& options = {});
 
-/// The same script for the native (C++) modules of the observability
-/// planes, profile::Collector and slo::Monitor: they divulge their windows
-/// as an abstract state buffer and install it in a clone, like a prepared
-/// VM module. `options.machine` places the clone, and `module` is swapped
-/// for it on success. A native clone installs its state on its own tick, so
-/// the old instance retires only once the clone serves (no drain window).
+/// The replacement script over a native module (bus::NativeModule) such as
+/// profile::Collector or slo::Monitor: it divulges its state and a passive
+/// clone from `make_clone(name, machine)` installs it, a crashed clone being
+/// replaced up to options.max_attempts, as a VM clone is. The clone installs
+/// on its own tick, so the old instance retires only once the clone serves
+/// (no drain window), and `adopt` then takes the clone.
+using NativeFactory = std::function<std::unique_ptr<bus::NativeModule>(
+    const std::string& name, const std::string& machine)>;
+using NativeHeir = std::function<void(std::unique_ptr<bus::NativeModule>)>;
+ReplaceReport replace_native(app::Runtime& rt, const std::string& module,
+                             const NativeFactory& make_clone,
+                             const NativeHeir& adopt,
+                             const ReplaceOptions& options);
+
+/// replace_native for a Module constructed as (bus, name, machine, options,
+/// status); `options.machine` places the clone, which replaces `module`.
 template <typename Module>
 ReplaceReport replace_module(app::Runtime& rt, std::unique_ptr<Module>& module,
-                             const ReplaceOptions& options = {});
+                             const ReplaceOptions& options = {}) {
+  if (module == nullptr) {
+    throw ScriptError("replace_module: no module attached");
+  }
+  const Module& source = *module;
+  return replace_native(
+      rt, source.module_name(),
+      [&](const std::string& name, const std::string& machine) {
+        return std::unique_ptr<bus::NativeModule>(std::make_unique<Module>(
+            rt.bus(), name, machine, source.options(), "clone"));
+      },
+      [&](std::unique_ptr<bus::NativeModule> heir) {
+        module.reset(static_cast<Module*>(heir.release()));
+      },
+      options);
+}
 
 /// Process migration: replacement with the same program on another machine
 /// (the Monitor example's reconfiguration, Figure 1).

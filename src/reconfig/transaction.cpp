@@ -1,12 +1,11 @@
 #include "reconfig/scripts.hpp"
 
 #include <limits>
+#include <map>
 #include <string_view>
 
 #include "obs/metrics.hpp"
-#include "profile/telemetry.hpp"
 #include "serialize/state.hpp"
-#include "slo/monitor.hpp"
 #include "trace/recorder.hpp"
 
 namespace surgeon::reconfig {
@@ -117,15 +116,15 @@ class VmModules final : public Participant {
   std::shared_ptr<const vm::CompiledProgram> program_;
 };
 
-/// profile::Collector and slo::Monitor: constructed as "clone" they stay
-/// passive until a state buffer arrives; signalled, they divulge and
-/// passivate on their next tick. Retiring the current instance hands the
-/// caller's handle to the clone.
-template <typename Module>
+/// Native bus modules (bus::NativeModule), reached through their bus
+/// registration: a clone stays passive until its state buffer arrives, and
+/// the signalled source divulges and passivates on its next tick. Retiring
+/// the source hands the caller's handle to the clone that took its place.
 class NativeModules final : public Participant {
  public:
-  NativeModules(bus::Bus& bus, std::unique_ptr<Module>& current)
-      : bus_(bus), current_(current) {}
+  NativeModules(bus::Bus& bus, const NativeFactory& make_clone,
+                const NativeHeir& adopt)
+      : bus_(bus), make_clone_(make_clone), adopt_(adopt) {}
 
   std::string fresh_name(const std::string& source) override {
     for (int k = 2;; ++k) {
@@ -135,33 +134,26 @@ class NativeModules final : public Participant {
   }
   void create(const std::string& name, const std::string&,
               const std::string& machine) override {
-    // A native clone cannot crash, so only a restore timeout could ask for
-    // a second one; the swap fails instead.
-    if (clone_ != nullptr) {
-      throw ScriptError("replace_module: native swaps take one attempt");
-    }
-    clone_ = std::make_unique<Module>(bus_, name, machine, current_->options(),
-                                      "clone");
+    clones_.emplace(name, make_clone_(name, machine));
   }
   Progress progress(const std::string& name) override {
-    return clone_ != nullptr && clone_->module_name() == name &&
-                   clone_->active()
-               ? Progress::kRestored
-               : Progress::kEmpty;
+    const bus::NativeModule* module = bus_.native(name);
+    if (module == nullptr) return Progress::kEmpty;
+    if (module->crashed()) return Progress::kCrashed;
+    return module->active() ? Progress::kRestored : Progress::kEmpty;
   }
   void retire(const std::string& name) override {
-    if (name != current_->module_name()) {
-      clone_.reset();
-      return;
-    }
-    current_->retire();
-    current_ = std::move(clone_);
+    if (clones_.erase(name) != 0) return;  // a clone retires as it dies
+    bus_.native(name)->retire();
+    adopt_(std::move(clones_.begin()->second));  // the one clone left
+    clones_.clear();
   }
 
  private:
   bus::Bus& bus_;
-  std::unique_ptr<Module>& current_;
-  std::unique_ptr<Module> clone_;
+  const NativeFactory& make_clone_;
+  const NativeHeir& adopt_;
+  std::map<std::string, std::unique_ptr<bus::NativeModule>> clones_;
 };
 
 /// One run of kStepTable for one shape.
@@ -558,20 +550,15 @@ ReplaceReport replace_module(app::Runtime& rt, const std::string& instance,
                          options);
 }
 
-template <typename Module>
-ReplaceReport replace_module(app::Runtime& rt, std::unique_ptr<Module>& module,
+ReplaceReport replace_native(app::Runtime& rt, const std::string& module,
+                             const NativeFactory& make_clone,
+                             const NativeHeir& adopt,
                              const ReplaceOptions& options) {
-  if (module == nullptr) throw ScriptError("replace_module: no module attached");
-  const Shape shape = native_shape(options.machine);
-  NativeModules<Module> modules(rt.bus(), module);
-  return Transaction(rt, modules, module->module_name(), shape, options).run();
+  NativeModules modules(rt.bus(), make_clone, adopt);
+  return Transaction(rt, modules, module, native_shape(options.machine),
+                     options)
+      .run();
 }
-template ReplaceReport replace_module(app::Runtime&,
-                                      std::unique_ptr<profile::Collector>&,
-                                      const ReplaceOptions&);
-template ReplaceReport replace_module(app::Runtime&,
-                                      std::unique_ptr<slo::Monitor>&,
-                                      const ReplaceOptions&);
 
 ReplaceReport move_module(app::Runtime& rt, const std::string& instance,
                           const std::string& machine) {

@@ -90,37 +90,35 @@ application kv {
 
 // --- KvRouter ----------------------------------------------------------------
 
-KvRouter::KvRouter(bus::Bus& bus, std::string machine, std::size_t shards,
-                   net::SimTime tick_us, net::SimTime retry_us)
-    : bus_(&bus),
-      module_("kv-router"),
-      client_(bus, module_),
-      shards_(shards),
-      tick_us_(tick_us),
-      retry_us_(retry_us),
-      groups_(shards),
-      group_ports_(shards, bus::kNullEndpointRef) {
+namespace {
+
+bus::ModuleInfo router_info(std::string machine, std::size_t shards) {
   bus::ModuleInfo info;
-  info.name = module_;
+  info.name = "kv-router";
   info.machine = std::move(machine);
   info.interfaces.push_back(
       bus::InterfaceSpec{"cli", bus::IfaceRole::kServer, "iiii", "iiii"});
-  for (std::size_t g = 0; g < shards_; ++g) {
+  for (std::size_t g = 0; g < shards; ++g) {
     info.interfaces.push_back(bus::InterfaceSpec{
-        group_iface(g), bus::IfaceRole::kServer, "iiii", "iiii"});
+        KvRouter::group_iface(g), bus::IfaceRole::kServer, "iiii", "iiii"});
   }
-  bus_->add_module(std::move(info));
-  schedule_tick();
+  return info;
 }
 
-KvRouter::~KvRouter() {
-  alive_.reset();
-  if (bus_->has_module(module_)) bus_->remove_module(module_);
-}
+}  // namespace
+
+KvRouter::KvRouter(bus::Bus& bus, std::string machine, std::size_t shards,
+                   net::SimTime tick_us, net::SimTime retry_us)
+    : NativeModule(bus, router_info(std::move(machine), shards), tick_us,
+                   tick_us),
+      shards_(shards),
+      retry_us_(retry_us),
+      groups_(shards),
+      group_ports_(shards, bus::kNullEndpointRef) {}
 
 std::vector<std::string> KvRouter::members(std::size_t group) const {
   std::vector<std::string> out;
-  for (const auto& peer : bus_->bound_peers(group_port(group))) {
+  for (const auto& peer : bus().bound_peers(group_port(group))) {
     out.push_back(peer.module);
   }
   std::sort(out.begin(), out.end());
@@ -129,7 +127,7 @@ std::vector<std::string> KvRouter::members(std::size_t group) const {
 
 void KvRouter::nudge(std::size_t group) {
   // seq 0 never matches a pending operation, so every reply is discarded.
-  bus_->send(group_port(group),
+  bus().send(group_port(group),
              {ser::Value{std::int64_t{2}}, ser::Value{std::int64_t{0}},
               ser::Value{static_cast<std::int64_t>(group)},
               ser::Value{std::int64_t{0}}});
@@ -143,31 +141,22 @@ std::size_t KvRouter::pending_ops() const noexcept {
   return n;
 }
 
-void KvRouter::schedule_tick() {
-  std::weak_ptr<int> alive = alive_;
-  bus_->simulator().schedule_after(tick_us_, [this, alive] {
-    if (alive.expired()) return;
-    tick();
-    schedule_tick();
-  });
-}
-
 bus::EndpointRef KvRouter::group_port(std::size_t g) const {
   bus::EndpointRef& ref = group_ports_[g];
-  if (!bus_->endpoint_current(ref)) {
-    ref = bus_->resolve_endpoint(module_, group_iface(g));
+  if (!bus().endpoint_current(ref)) {
+    ref = bus().resolve_endpoint(module_name(), group_iface(g));
   }
   return ref;
 }
 
 void KvRouter::fan_out(std::size_t g, PendingOp& op) {
-  op.last_fanout_at = bus_->simulator().now();
-  bus_->send(group_port(g), {ser::Value{op.op}, ser::Value{op.seq},
+  op.last_fanout_at = bus().simulator().now();
+  bus().send(group_port(g), {ser::Value{op.op}, ser::Value{op.seq},
                              ser::Value{op.key}, ser::Value{op.value}});
 }
 
 void KvRouter::absorb_replies(std::size_t g) {
-  while (auto msg = bus_->receive(group_port(g))) {
+  while (auto msg = bus().receive(group_port(g))) {
     const auto& v = msg->values;
     if (v.size() != 4 || !v[1].is_int()) continue;
     const std::int64_t seq = v[1].as_int();
@@ -177,7 +166,7 @@ void KvRouter::absorb_replies(std::size_t g) {
       ++stats_.late_replies;
       continue;
     }
-    group.inflight->replies[bus_->source_of(*msg).module] = v[3].as_int();
+    group.inflight->replies[bus().source_of(*msg).module] = v[3].as_int();
   }
 }
 
@@ -195,7 +184,7 @@ void KvRouter::progress(std::size_t g) {
   // swapped members mid-operation means the heir must reply too (the retry
   // below re-fans the operation so it can). Peers come in bind-table
   // order; nothing below depends on it.
-  const std::vector<BindingEnd> peers = bus_->bound_peers(group_port(g));
+  const std::vector<BindingEnd> peers = bus().bound_peers(group_port(g));
   bool complete = !peers.empty();
   for (const BindingEnd& peer : peers) {
     if (!op.replies.contains(peer.module)) {
@@ -203,7 +192,7 @@ void KvRouter::progress(std::size_t g) {
       break;
     }
   }
-  const net::SimTime now = bus_->simulator().now();
+  const net::SimTime now = bus().simulator().now();
   if (!complete) {
     if (now - op.last_fanout_at >= retry_us_) {
       ++stats_.refans;
@@ -229,15 +218,15 @@ void KvRouter::progress(std::size_t g) {
     ++stats_.acked_puts;
   }
   latencies_.push_back(KvLatencySample{now, now - op.accepted_at});
-  client_.write("cli", {ser::Value{op.op}, ser::Value{op.seq},
-                        ser::Value{op.key}, ser::Value{result}});
+  client().write("cli", {ser::Value{op.op}, ser::Value{op.seq},
+                         ser::Value{op.key}, ser::Value{result}});
   group.inflight.reset();
   // Let the next waiting operation start on this same tick.
   progress(g);
 }
 
-void KvRouter::tick() {
-  while (auto msg = client_.try_read("cli")) {
+bool KvRouter::fold() {
+  while (auto msg = client().try_read("cli")) {
     const auto& v = msg->values;
     if (v.size() != 4) continue;
     PendingOp op;
@@ -245,7 +234,7 @@ void KvRouter::tick() {
     op.seq = v[1].as_int();
     op.key = v[2].as_int();
     op.value = v[3].as_int();
-    op.accepted_at = bus_->simulator().now();
+    op.accepted_at = bus().simulator().now();
     const std::size_t g =
         static_cast<std::size_t>(op.key) % (shards_ == 0 ? 1 : shards_);
     if (groups_[g].idle()) {
@@ -259,8 +248,8 @@ void KvRouter::tick() {
   // is that full poll. Either way groups go in ascending order: fan-outs
   // consume fault draws and stream sequence numbers in send order.
   std::size_t active_mail = 0;
-  for (std::size_t g : active_) active_mail += bus_->queue_depth(group_port(g));
-  const bool idle_mail = bus_->queued_messages(module_) > active_mail;
+  for (std::size_t g : active_) active_mail += bus().queue_depth(group_port(g));
+  const bool idle_mail = bus().queued_messages(module_name()) > active_mail;
   const std::size_t visits = idle_mail ? shards_ : active_.size();
   for (std::size_t i = 0; i < visits; ++i) {
     const std::size_t g = idle_mail ? i : active_[i];
@@ -268,24 +257,21 @@ void KvRouter::tick() {
     progress(g);
   }
   std::erase_if(active_, [this](std::size_t g) { return groups_[g].idle(); });
+  return true;
 }
 
 // --- KvClient ----------------------------------------------------------------
 
 KvClient::KvClient(bus::Bus& bus, std::string machine, std::size_t shards,
                    std::uint64_t seed, int ops, net::SimTime tick_us)
-    : bus_(&bus),
-      module_("kv-client"),
-      client_(bus, module_),
-      shards_(shards),
-      tick_us_(tick_us) {
-  bus::ModuleInfo info;
-  info.name = module_;
-  info.machine = std::move(machine);
-  info.interfaces.push_back(
-      bus::InterfaceSpec{"req", bus::IfaceRole::kClient, "iiii", "iiii"});
-  bus_->add_module(std::move(info));
-
+    : NativeModule(bus,
+                   {.name = "kv-client",
+                    .machine = std::move(machine),
+                    .source = {},
+                    .interfaces = {{"req", bus::IfaceRole::kClient, "iiii",
+                                    "iiii"}}},
+                   tick_us, tick_us),
+      shards_(shards) {
   // The operation script is fixed up front from the seed: roughly 60% PUT,
   // then a read-back GET of every key so the final report covers the whole
   // key space whether or not the random mix touched it.
@@ -306,21 +292,6 @@ KvClient::KvClient(bus::Bus& bus, std::string machine, std::size_t shards,
   for (std::int64_t k = 0; k < keys; ++k) {
     script_.push_back(Op{3, k, 0});
   }
-  schedule_tick();
-}
-
-KvClient::~KvClient() {
-  alive_.reset();
-  if (bus_->has_module(module_)) bus_->remove_module(module_);
-}
-
-void KvClient::schedule_tick() {
-  std::weak_ptr<int> alive = alive_;
-  bus_->simulator().schedule_after(tick_us_, [this, alive] {
-    if (alive.expired()) return;
-    tick();
-    if (!done_) schedule_tick();
-  });
 }
 
 void KvClient::send_next() {
@@ -333,12 +304,12 @@ void KvClient::send_next() {
   ++next_op_;
   ++stats_.sent;
   const std::int64_t wire_op = op.op == 3 ? 2 : op.op;
-  client_.write("req", {ser::Value{wire_op}, ser::Value{inflight_seq_},
-                        ser::Value{op.key}, ser::Value{op.value}});
+  client().write("req", {ser::Value{wire_op}, ser::Value{inflight_seq_},
+                         ser::Value{op.key}, ser::Value{op.value}});
 }
 
-void KvClient::tick() {
-  while (auto msg = client_.try_read("req")) {
+bool KvClient::fold() {
+  while (auto msg = client().try_read("req")) {
     const auto& v = msg->values;
     if (v.size() != 4 || v[1].as_int() != inflight_seq_) continue;
     const Op& op = script_[static_cast<std::size_t>(inflight_seq_) - 1];
@@ -372,6 +343,8 @@ void KvClient::tick() {
     inflight_seq_ = 0;
   }
   if (inflight_seq_ == 0 && !done_) send_next();
+  if (done_) stop();
+  return true;
 }
 
 std::vector<std::string> KvClient::report() const {

@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "app/runtime.hpp"
-#include "bus/client.hpp"
+#include "bus/native.hpp"
 #include "replicate/placement.hpp"
 
 namespace surgeon::replicate {
@@ -98,17 +98,11 @@ struct KvLatencySample {
 /// re-fan after the ack) still goes on the next tick: when the bus's
 /// queued count for the router exceeds what the active groups hold, that
 /// tick visits every group, as a full poll would.
-class KvRouter {
+class KvRouter final : public bus::NativeModule {
  public:
   KvRouter(bus::Bus& bus, std::string machine, std::size_t shards,
            net::SimTime tick_us, net::SimTime retry_us);
-  ~KvRouter();
-  KvRouter(const KvRouter&) = delete;
-  KvRouter& operator=(const KvRouter&) = delete;
 
-  [[nodiscard]] const std::string& module_name() const noexcept {
-    return module_;
-  }
   [[nodiscard]] static std::string group_iface(std::size_t group) {
     return "g" + std::to_string(group);
   }
@@ -145,8 +139,7 @@ class KvRouter {
     }
   };
 
-  void schedule_tick();
-  void tick();
+  bool fold() override;
   /// Endpoint handle of group `g`'s interface. Polls, fan-outs and peer
   /// reads go through it, so a tick resolves no interface names and
   /// touches only the active groups' handles; it re-resolves only when the
@@ -156,11 +149,7 @@ class KvRouter {
   void absorb_replies(std::size_t g);
   void progress(std::size_t g);
 
-  bus::Bus* bus_;
-  std::string module_;
-  bus::Client client_;
   std::size_t shards_;
-  net::SimTime tick_us_;
   net::SimTime retry_us_;
   std::vector<Group> groups_;
   /// Groups with an operation in flight or waiting, ascending.
@@ -168,7 +157,6 @@ class KvRouter {
   mutable std::vector<bus::EndpointRef> group_ports_;
   KvRouterStats stats_;
   std::vector<KvLatencySample> latencies_;
-  std::shared_ptr<int> alive_ = std::make_shared<int>(0);
 };
 
 struct KvClientStats {
@@ -182,17 +170,11 @@ struct KvClientStats {
 /// every key. Output is emitted only after the run completes, in key/seq
 /// order, so golden-vs-chaos comparison is insensitive to completion-time
 /// jitter introduced by a rebuild.
-class KvClient {
+class KvClient final : public bus::NativeModule {
  public:
   KvClient(bus::Bus& bus, std::string machine, std::size_t shards,
            std::uint64_t seed, int ops, net::SimTime tick_us);
-  ~KvClient();
-  KvClient(const KvClient&) = delete;
-  KvClient& operator=(const KvClient&) = delete;
 
-  [[nodiscard]] const std::string& module_name() const noexcept {
-    return module_;
-  }
   [[nodiscard]] bool done() const noexcept { return done_; }
   [[nodiscard]] const KvClientStats& stats() const noexcept { return stats_; }
 
@@ -222,15 +204,12 @@ class KvClient {
     std::int64_t key = 0;
     std::int64_t value = 0;
   };
-  void schedule_tick();
-  void tick();
+  /// Takes the reply to the operation in flight and sends the next one;
+  /// stops the module once the script is done.
+  bool fold() override;
   void send_next();
 
-  bus::Bus* bus_;
-  std::string module_;
-  bus::Client client_;
   std::size_t shards_;
-  net::SimTime tick_us_;
   std::vector<Op> script_;      // the seeded op sequence + read-back tail
   std::size_t next_op_ = 0;
   std::int64_t inflight_seq_ = 0;  // 0 = idle
@@ -240,7 +219,6 @@ class KvClient {
   std::vector<std::string> acked_log_;  // "seq op key value", seq order
   KvClientStats stats_;
   bool done_ = false;
-  std::shared_ptr<int> alive_ = std::make_shared<int>(0);
 };
 
 /// The whole service: ring, placed shard groups, router, client.

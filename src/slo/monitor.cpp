@@ -49,58 +49,31 @@ std::string quantile_text(double quantile) {
 Probe::Probe(bus::Bus& bus, trace::Recorder& recorder, std::string machine,
              std::string service, std::string monitor_module,
              ProbeOptions options)
-    : bus_(&bus),
+    : NativeModule(
+          bus,
+          {.name = "sloprobe@" + machine,
+           .machine = machine,
+           .source = kSloSource,
+           .interfaces = {{"records", bus::IfaceRole::kDefine, "", ""}}},
+          options.tick_us, options.max_tick_us),
       recorder_(&recorder),
-      machine_(std::move(machine)),
       service_(std::move(service)),
-      module_("sloprobe@" + machine_),
-      client_(bus, module_),
       options_(options),
-      tracker_(options.max_open),
-      delay_us_(options.tick_us) {
-  bus::ModuleInfo info;
-  info.name = module_;
-  info.machine = machine_;
-  info.source = kSloSource;
-  info.interfaces.push_back(
-      bus::InterfaceSpec{"records", bus::IfaceRole::kDefine, "", ""});
-  bus_->add_module(std::move(info));
-  bus_->add_binding(bus::BindingEnd{module_, "records"},
-                    bus::BindingEnd{std::move(monitor_module), "ingest"});
+      tracker_(options.max_open) {
+  bus.add_binding(bus::BindingEnd{module_name(), "records"},
+                  bus::BindingEnd{std::move(monitor_module), "ingest"});
   observer_ = recorder_->add_observer(
       [this](const trace::Event& ev) { tracker_.observe(ev); });
-  schedule_tick();
 }
 
-Probe::~Probe() {
-  stop();
-  if (bus_->has_module(module_)) bus_->remove_module(module_);
-}
+Probe::~Probe() { stop(); }
 
 void Probe::stop() noexcept {
-  alive_.reset();
+  NativeModule::stop();
   if (observer_ != 0) {
     recorder_->remove_observer(observer_);
     observer_ = 0;
   }
-}
-
-void Probe::schedule_tick() {
-  std::weak_ptr<int> alive = alive_;
-  bus_->simulator().schedule_after(delay_us_, [this, alive] {
-    if (alive.expired()) return;
-    // Idle backoff: a tick that finds nothing (no fresh completions, no
-    // partial batch waiting out its linger) doubles the next delay up to
-    // max_tick_us, so an idle probe stops churning the event queue. Any
-    // work snaps the cadence back to tick_us.
-    if (drain(/*force=*/false) || !pending_.empty()) {
-      delay_us_ = options_.tick_us;
-    } else {
-      delay_us_ = std::min(delay_us_ * 2,
-                           std::max(options_.tick_us, options_.max_tick_us));
-    }
-    schedule_tick();
-  });
 }
 
 void Probe::flush() { (void)drain(/*force=*/true); }
@@ -108,7 +81,7 @@ void Probe::flush() { (void)drain(/*force=*/true); }
 bool Probe::drain(bool force) {
   std::vector<Completion> done = tracker_.drain();
   if (!done.empty()) {
-    if (pending_.empty()) pending_since_ = bus_->simulator().now();
+    if (pending_.empty()) pending_since_ = bus().simulator().now();
     pending_.insert(pending_.end(), std::make_move_iterator(done.begin()),
                     std::make_move_iterator(done.end()));
   }
@@ -117,7 +90,7 @@ bool Probe::drain(bool force) {
   // costs one bus message per linger window, not one per request.
   if (!pending_.empty() &&
       (force ||
-       bus_->simulator().now() - pending_since_ >= options_.linger_us)) {
+       bus().simulator().now() - pending_since_ >= options_.linger_us)) {
     send_batch(pending_.size());
   }
   return !done.empty();
@@ -142,53 +115,28 @@ void Probe::send_batch(std::size_t n) {
       values.emplace_back(static_cast<std::int64_t>(hop.handler_us));
     }
   }
-  client_.write("records", std::move(values));
+  client().write("records", std::move(values));
   ++batches_sent_;
   pending_.erase(pending_.begin(),
                  pending_.begin() + static_cast<std::ptrdiff_t>(n));
-  pending_since_ = bus_->simulator().now();
+  pending_since_ = bus().simulator().now();
 }
 
 // --- Monitor -----------------------------------------------------------------
 
 Monitor::Monitor(bus::Bus& bus, std::string module_name, std::string machine,
                  MonitorOptions options, std::string status)
-    : bus_(&bus),
-      module_(std::move(module_name)),
-      machine_(std::move(machine)),
+    : NativeModule(
+          bus,
+          {.name = std::move(module_name),
+           .machine = std::move(machine),
+           .status = std::move(status),
+           .source = kSloSource,
+           .interfaces = {{"ingest", bus::IfaceRole::kUse, "", ""},
+                          {"alerts", bus::IfaceRole::kDefine, "", ""}}},
+          options.tick_us, options.max_tick_us, "slo"),
       options_(options),
-      client_(bus, module_),
-      engine_(options.engine),
-      delay_us_(options.tick_us) {
-  bus::ModuleInfo info;
-  info.name = module_;
-  info.machine = machine_;
-  info.status = status;
-  info.source = kSloSource;
-  info.interfaces.push_back(
-      bus::InterfaceSpec{"ingest", bus::IfaceRole::kUse, "", ""});
-  info.interfaces.push_back(
-      bus::InterfaceSpec{"alerts", bus::IfaceRole::kDefine, "", ""});
-  bus_->add_module(std::move(info));
-  if (status == "new") activate();
-  schedule_tick();
-}
-
-Monitor::~Monitor() {
-  bus_->clear_slo_handler(slo_token_);
-  retire();
-}
-
-void Monitor::retire() {
-  alive_.reset();
-  if (bus_->has_module(module_)) bus_->remove_module(module_);
-}
-
-void Monitor::activate() {
-  active_ = true;
-  slo_token_ = bus_->set_slo_handler(
-      [this](const std::string& format) { return report(format); });
-}
+      engine_(options.engine) {}
 
 void Monitor::add_objective(Objective objective) {
   engine_.add_objective(std::move(objective));
@@ -200,46 +148,10 @@ void Monitor::note_blackout(net::SimTime from_us, net::SimTime to_us) {
   evaluated_once_ = false;
 }
 
-void Monitor::schedule_tick() {
-  std::weak_ptr<int> alive = alive_;
-  bus_->simulator().schedule_after(delay_us_, [this, alive] {
-    if (alive.expired()) return;
-    tick();
-  });
-}
-
-void Monitor::tick() {
-  if (passivated_) return;  // divulged; awaiting retirement, no reschedule
-  if (!active_) {
-    // Clone discipline (Figure 4): queued record batches wait untouched
-    // until the divulged engine state arrives. A waiting clone keeps the
-    // base cadence — its restore latency is someone's blackout.
-    if (bus_->has_incoming_state(module_)) {
-      auto bytes = bus_->take_incoming_state(module_);
-      install_state(ser::StateBuffer::decode(*bytes));
-    }
-    delay_us_ = options_.tick_us;
-    schedule_tick();
-    return;
-  }
-  if (client_.take_pending_signal()) {
-    // Passivate BEFORE draining: queued batches belong to the successor
-    // and reach it via queue capture.
-    (void)client_.encode_state(encode_state());
-    passivated_ = true;
-    return;
-  }
+bool Monitor::fold() {
   const std::uint64_t applied_before = records_applied_;
-  while (auto msg = client_.try_read("ingest")) apply(*msg);
-  // Idle backoff, mirroring the probe's: ticks that apply no records
-  // stretch toward max_tick_us. Slot roll-over evaluations still happen
-  // (the gate below keys on the clock, not the cadence), just no more
-  // than once per backed-off tick.
-  delay_us_ = records_applied_ != applied_before
-                  ? options_.tick_us
-                  : std::min(delay_us_ * 2,
-                             std::max(options_.tick_us, options_.max_tick_us));
-  const net::SimTime now = bus_->simulator().now();
+  while (auto msg = client().try_read("ingest")) apply(*msg);
+  const net::SimTime now = bus().simulator().now();
   // The engine's windows are slot-granular: with no new records since the
   // last evaluation, the detector verdict (and every gauge) is unchanged
   // until the clock crosses a slot boundary. Skipping idle in-slot ticks
@@ -253,7 +165,7 @@ void Monitor::tick() {
     eval_slot_ = slot;
     eval_records_ = records_applied_;
   }
-  schedule_tick();
+  return records_applied_ != applied_before;
 }
 
 void Monitor::apply(const bus::Message& msg) {
@@ -264,7 +176,7 @@ void Monitor::apply(const bus::Message& msg) {
   }
   const std::string& service = v[0].as_string();
   const std::int64_t count = v[1].as_int();
-  obs::MetricsRegistry* reg = bus_->metrics();
+  obs::MetricsRegistry* reg = bus().metrics();
   const bool metrics_on = reg != nullptr && reg->enabled();
   // The service is constant across the batch: resolve the hot series once
   // (a labeled-map lookup per completion would dominate the apply path).
@@ -341,7 +253,7 @@ void Monitor::publish_alert(const AlertEvent& ev) {
   // Alerts are ordinary bus traffic: chaos can drop them (fire-and-forget)
   // or the reliable layer sequences them — exactly like the application
   // messages whose latency they judge.
-  client_.write(
+  client().write(
       "alerts",
       {ser::Value{static_cast<std::int64_t>(ev.id)}, ser::Value{ev.objective},
        ser::Value{std::string{alert_kind_name(ev.kind)}},
@@ -350,7 +262,7 @@ void Monitor::publish_alert(const AlertEvent& ev) {
        ser::Value{static_cast<std::int64_t>(ev.burn_slow * 1000.0)},
        ser::Value{static_cast<std::int64_t>(ev.attainment * 1'000'000.0)}});
   ++alerts_published_;
-  obs::MetricsRegistry* reg = bus_->metrics();
+  obs::MetricsRegistry* reg = bus().metrics();
   if (reg != nullptr && reg->enabled()) {
     reg->counter("surgeon_slo_alerts_total",
                  {{"kind", alert_kind_name(ev.kind)},
@@ -362,7 +274,7 @@ void Monitor::publish_alert(const AlertEvent& ev) {
 Monitor::GaugeSet& Monitor::gauges_for(const std::string& objective) {
   auto it = gauges_.find(objective);
   if (it == gauges_.end()) {
-    obs::MetricsRegistry& reg = *bus_->metrics();
+    obs::MetricsRegistry& reg = *bus().metrics();
     GaugeSet set;
     set.attainment =
         &reg.gauge("surgeon_slo_attainment_ppm", {{"objective", objective}});
@@ -377,7 +289,7 @@ Monitor::GaugeSet& Monitor::gauges_for(const std::string& objective) {
 }
 
 void Monitor::refresh_gauges(net::SimTime now) {
-  obs::MetricsRegistry* reg = bus_->metrics();
+  obs::MetricsRegistry* reg = bus().metrics();
   if (reg == nullptr || !reg->enabled()) return;
   for (const Engine::ObjectiveStatus& st : engine_.objective_status(now)) {
     GaugeSet& g = gauges_for(st.objective->name);
@@ -391,7 +303,7 @@ void Monitor::refresh_gauges(net::SimTime now) {
 // --- Monitor: the mh_slo renderings ------------------------------------------
 
 std::string Monitor::report(const std::string& format) const {
-  const net::SimTime now = bus_->simulator().now();
+  const net::SimTime now = bus().simulator().now();
   if (format == "json") return report_json(now);
   if (format == "text") return report_text(now);
   throw BusError("mh_slo: unknown format '" + format +
@@ -491,15 +403,6 @@ std::string Monitor::report_json(net::SimTime now) const {
   }
   os << "]}";
   return os.str();
-}
-
-// --- Monitor: state divulge/install ------------------------------------------
-
-ser::StateBuffer Monitor::encode_state() const { return engine_.encode_state(); }
-
-void Monitor::install_state(const ser::StateBuffer& state) {
-  engine_.install_state(state);
-  activate();
 }
 
 }  // namespace surgeon::slo

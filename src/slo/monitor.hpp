@@ -21,6 +21,11 @@
 //             moves as an abstract state buffer, so a replacement neither
 //             loses nor re-fires alerts.
 //
+// Both are bus::NativeModules. The base owns registration, the tick chain
+// with its idle backoff (max_tick_us), stop, crash and the
+// signal/divulge/install handshake; Probe keeps its drain, Monitor its
+// ingest-and-evaluate fold and the engine's state.
+//
 // Record-stream wire format, one message per batch on records -> ingest:
 //   [service, count, { request, started_at, completed_at, latency_us,
 //                      complete, nhops, { module, queue_us, handler_us
@@ -28,14 +33,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "bus/bus.hpp"
-#include "bus/client.hpp"
+#include "bus/native.hpp"
 #include "obs/metrics.hpp"
 #include "slo/request.hpp"
 #include "slo/slo.hpp"
@@ -70,7 +72,7 @@ struct ProbeOptions {
   std::size_t max_open = 65'536;
 };
 
-class Probe {
+class Probe final : public bus::NativeModule {
  public:
   /// Registers module "sloprobe@<machine>" on `machine`, binds "records"
   /// to `monitor_module`.ingest, subscribes the tracker to `recorder`, and
@@ -78,14 +80,8 @@ class Probe {
   Probe(bus::Bus& bus, trace::Recorder& recorder, std::string machine,
         std::string service, std::string monitor_module,
         ProbeOptions options = {});
-  ~Probe();
+  ~Probe() override;
 
-  Probe(const Probe&) = delete;
-  Probe& operator=(const Probe&) = delete;
-
-  [[nodiscard]] const std::string& module_name() const noexcept {
-    return module_;
-  }
   [[nodiscard]] const RequestTracker& tracker() const noexcept {
     return tracker_;
   }
@@ -93,29 +89,25 @@ class Probe {
   /// (tests and shutdown; the tick lingers partial batches instead).
   void flush();
   /// Stops the tick chain and the observer subscription.
-  void stop() noexcept;
+  void stop() noexcept override;
 
   [[nodiscard]] std::uint64_t batches_sent() const noexcept {
     return batches_sent_;
   }
 
  private:
-  void schedule_tick();
+  /// A tick that finds nothing (no fresh completions, no partial batch
+  /// waiting out its linger) is idle.
+  bool fold() override { return drain(/*force=*/false) || !pending_.empty(); }
   bool drain(bool force);
   void send_batch(std::size_t n);
 
-  bus::Bus* bus_;
   trace::Recorder* recorder_;
-  std::string machine_;
   std::string service_;
-  std::string module_;
-  bus::Client client_;
   ProbeOptions options_;
   RequestTracker tracker_;
   trace::Recorder::ObserverId observer_ = 0;
-  std::shared_ptr<int> alive_ = std::make_shared<int>(0);
   std::uint64_t batches_sent_ = 0;
-  net::SimTime delay_us_ = 0;           // current tick delay (idle backoff)
   std::vector<Completion> pending_;     // drained, not yet streamed
   net::SimTime pending_since_ = 0;      // when pending_ became non-empty
 };
@@ -133,26 +125,18 @@ struct MonitorOptions {
   EngineOptions engine;
 };
 
-class Monitor {
+class Monitor final : public bus::NativeModule {
  public:
   /// Registers the monitor module (interfaces: "ingest" use, "alerts"
-  /// define) on `machine`. STATUS "new" activates immediately; "clone"
-  /// stays passive until a state buffer arrives (Figure 4 discipline).
+  /// define) on `machine`. STATUS "new" activates immediately and answers
+  /// mh_slo; "clone" stays passive until a state buffer arrives (Figure 4
+  /// discipline).
   Monitor(bus::Bus& bus, std::string module_name, std::string machine,
           MonitorOptions options = {}, std::string status = "new");
-  ~Monitor();
 
-  Monitor(const Monitor&) = delete;
-  Monitor& operator=(const Monitor&) = delete;
-
-  [[nodiscard]] const std::string& module_name() const noexcept {
-    return module_;
-  }
   [[nodiscard]] const MonitorOptions& options() const noexcept {
     return options_;
   }
-  [[nodiscard]] bool active() const noexcept { return active_; }
-  [[nodiscard]] bool passivated() const noexcept { return passivated_; }
   [[nodiscard]] const Engine& engine() const noexcept { return engine_; }
   [[nodiscard]] std::uint64_t records_applied() const noexcept {
     return records_applied_;
@@ -173,22 +157,23 @@ class Monitor {
   /// The mh_slo rendering: "text" or "json" (deterministic; byte-stable
   /// across a replacement of the monitor itself).
   [[nodiscard]] std::string report(const std::string& format) const;
+  [[nodiscard]] std::string answer(const std::string& format) const override {
+    return report(format);
+  }
 
-  /// Removes the module from the bus and stops the tick chain.
-  void retire();
-
-  // --- Figure 5 participation ---------------------------------------------
-
-  [[nodiscard]] ser::StateBuffer encode_state() const;
-  void install_state(const ser::StateBuffer& state);
-
-  /// One processing step, exposed for deterministic tests; normally driven
-  /// by the virtual-clock tick chain.
-  void tick();
+  [[nodiscard]] ser::StateBuffer encode_state() const override {
+    return engine_.encode_state();
+  }
 
  private:
-  void schedule_tick();
-  void activate();
+  /// Drains ingest, runs the detectors, publishes. Idle when no record was
+  /// applied: slot roll-over evaluations still happen (the gate below keys
+  /// on the clock, not the cadence), just no more than once per backed-off
+  /// tick.
+  bool fold() override;
+  void restore(const ser::StateBuffer& state) override {
+    engine_.install_state(state);
+  }
   void apply(const bus::Message& msg);
   void publish_alert(const AlertEvent& ev);
   void refresh_gauges(net::SimTime now);
@@ -206,15 +191,9 @@ class Monitor {
   };
   GaugeSet& gauges_for(const std::string& objective);
 
-  bus::Bus* bus_;
-  std::string module_;
-  std::string machine_;
   MonitorOptions options_;
-  bus::Client client_;
   Engine engine_;
   std::map<std::string, GaugeSet> gauges_;
-  bool active_ = false;
-  bool passivated_ = false;
   // Evaluation gate: the window arithmetic is slot-granular, so with no new
   // records the detector verdict can only change when the clock crosses a
   // slot boundary. Idle ticks inside a slot skip the engine entirely.
@@ -224,9 +203,6 @@ class Monitor {
   std::uint64_t records_applied_ = 0;
   std::uint64_t malformed_ = 0;
   std::uint64_t alerts_published_ = 0;
-  net::SimTime delay_us_ = 0;  // current tick delay (idle backoff)
-  std::uint64_t slo_token_ = 0;
-  std::shared_ptr<int> alive_ = std::make_shared<int>(0);
 };
 
 }  // namespace surgeon::slo

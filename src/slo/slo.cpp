@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "bus/native.hpp"
 #include "support/diag.hpp"
 
 namespace surgeon::slo {
@@ -352,87 +353,89 @@ ser::StateBuffer Engine::encode_state() const {
 }
 
 void Engine::install_state(const ser::StateBuffer& state) {
+  constexpr const char* kWhat = "slo engine state";
   const auto& frames = state.frames();
-  if (frames.empty() || frames[0].values.size() < 5 ||
-      frames[0].values[0].as_int() != 1) {
+  if (frames.empty() ||
+      bus::state_fields(frames[0], 5, kWhat)[0].as_int() != 1) {
     throw BusError("slo engine state: unknown format");
   }
+  const auto count = [](const ser::Value& v) {
+    return bus::state_count(v, kWhat);
+  };
   const auto undbl = [](const ser::Value& v) {
     return static_cast<double>(v.as_int()) / 1'000'000.0;
   };
-  options_.slot_us = frames[0].values[1].as_int();
-  options_.slots = static_cast<std::size_t>(frames[0].values[2].as_int());
-  next_alert_ = static_cast<std::uint64_t>(frames[0].values[3].as_int());
-  completions_total_ =
-      static_cast<std::uint64_t>(frames[0].values[4].as_int());
-  objectives_.clear();
-  obj_state_.clear();
-  svc_state_.clear();
-  blackouts_.clear();
+  // Built aside and moved in, so a rejected buffer changes nothing.
+  const std::vector<ser::Value>& head = frames[0].values;
+  Engine next(EngineOptions{count(head[1]), count(head[2])});
+  if (next.options_.slot_us == 0 || next.options_.slots == 0) {
+    throw BusError("slo engine state: empty window geometry");
+  }
+  next.next_alert_ = count(head[3]);
+  next.completions_total_ = count(head[4]);
+  // Fields per frame kind: blackout, objective, objective counters,
+  // objective slot, service, service slot, hop.
+  constexpr std::size_t kArity[] = {3, 10, 6, 5, 3, 4, 6};
   for (std::size_t i = 1; i < frames.size(); ++i) {
-    const ser::StateFrame& f = frames[i];
-    if (f.values.empty()) throw BusError("slo engine state: bad frame");
-    const auto& v = f.values;
-    switch (v[0].as_int()) {
+    const std::int64_t kind =
+        bus::state_fields(frames[i], 1, kWhat)[0].as_int();
+    if (kind < 0 || kind > 6) {
+      throw BusError("slo engine state: unknown frame kind");
+    }
+    const std::vector<ser::Value>& v =
+        bus::state_fields(frames[i], kArity[kind], kWhat);
+    switch (kind) {
       case 0:
-        blackouts_.emplace_back(v[1].as_int(), v[2].as_int());
+        next.blackouts_.emplace_back(count(v[1]), count(v[2]));
         break;
       case 1: {
         Objective obj;
         obj.name = v[1].as_string();
         obj.service = v[2].as_string();
         obj.quantile = undbl(v[3]);
-        obj.threshold_us = v[4].as_int();
-        obj.window_us = v[5].as_int();
-        obj.fast_window_us = v[6].as_int();
-        obj.slow_window_us = v[7].as_int();
+        obj.threshold_us = count(v[4]);
+        obj.window_us = count(v[5]);
+        obj.fast_window_us = count(v[6]);
+        obj.slow_window_us = count(v[7]);
         obj.fast_burn = undbl(v[8]);
         obj.slow_burn = undbl(v[9]);
-        add_objective(std::move(obj));
+        next.add_objective(std::move(obj));
         break;
       }
       case 2: {
-        ObjState& st = obj_state_[v[1].as_string()];
+        ObjState& st = next.obj_state_[v[1].as_string()];
         st.firing = v[2].as_int() != 0;
-        st.violations_total = static_cast<std::uint64_t>(v[3].as_int());
-        st.blackout_violations_total =
-            static_cast<std::uint64_t>(v[4].as_int());
-        st.alerts_total = static_cast<std::uint64_t>(v[5].as_int());
+        st.violations_total = count(v[3]);
+        st.blackout_violations_total = count(v[4]);
+        st.alerts_total = count(v[5]);
         break;
       }
-      case 3: {
-        ObjState& st = obj_state_[v[1].as_string()];
-        st.slots.push_back(ObjSlot{v[2].as_int(),
-                                   static_cast<std::uint64_t>(v[3].as_int()),
-                                   static_cast<std::uint64_t>(v[4].as_int())});
+      case 3:
+        next.obj_state_[v[1].as_string()].slots.push_back(
+            ObjSlot{count(v[2]), count(v[3]), count(v[4])});
         break;
-      }
       case 4:
-        svc_state_[v[1].as_string()].completions_total =
-            static_cast<std::uint64_t>(v[2].as_int());
+        next.svc_state_[v[1].as_string()].completions_total = count(v[2]);
         break;
       case 5: {
-        SvcState& st = svc_state_[v[1].as_string()];
         SvcSlot slot;
-        slot.start_us = v[2].as_int();
-        slot.completions = static_cast<std::uint64_t>(v[3].as_int());
-        st.slots.push_back(std::move(slot));
+        slot.start_us = count(v[2]);
+        slot.completions = count(v[3]);
+        next.svc_state_[v[1].as_string()].slots.push_back(std::move(slot));
         break;
       }
-      case 6: {
-        SvcState& st = svc_state_[v[1].as_string()];
+      default: {
+        SvcState& st = next.svc_state_[v[1].as_string()];
         if (st.slots.empty()) {
           throw BusError("slo engine state: hop before service slot");
         }
         st.slots.back().hops[v[2].as_string()] =
-            HopAgg{static_cast<std::uint64_t>(v[3].as_int()), v[4].as_int(),
-                   v[5].as_int()};
+            HopAgg{count(v[3]), count(v[4]), count(v[5])};
         break;
       }
-      default:
-        throw BusError("slo engine state: unknown frame kind");
     }
   }
+  *this = std::move(next);
 }
 
 }  // namespace surgeon::slo

@@ -180,7 +180,9 @@ class Engine {
   /// firing flags, blackout windows.
   [[nodiscard]] ser::StateBuffer encode_state() const;
   /// Replaces this engine's state with a divulged buffer (clone side).
-  /// Throws support::BusError on an unknown format.
+  /// Throws support::BusError on an unknown format, a short frame, a
+  /// negative time or count, or a zero slot width or count, and VmError on
+  /// a value of the wrong kind.
   void install_state(const ser::StateBuffer& state);
 
  private:

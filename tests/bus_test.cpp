@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "bus/bus.hpp"
 #include "bus/client.hpp"
+#include "bus/native.hpp"
 #include "trace/assemble.hpp"
 
 namespace surgeon::bus {
@@ -672,6 +676,160 @@ TEST_F(BusTest, AppliedControlHistoryStaysBounded) {
   EXPECT_EQ(bus_.stats().signals_delivered, rounds);
   EXPECT_EQ(bus_.applied_control_size("a"), Bus::kAppliedControlWindow);
   EXPECT_EQ(bus_.pending_control_total(), 0u);
+}
+
+// --- NativeModule: the lifecycle every native bus module shares --------------
+
+/// A native module on "vax" that records when each fold ran, reports the
+/// busy verdicts `busy` scripts (idle once they run out), divulges one
+/// integer and answers the "top" query.
+class Ticker final : public NativeModule {
+ public:
+  Ticker(Bus& bus, const std::string& name, net::SimTime tick_us,
+         net::SimTime max_tick_us, std::string status = "new")
+      : NativeModule(bus,
+                     {.name = name,
+                      .machine = "vax",
+                      .status = std::move(status),
+                      .source = {},
+                      .interfaces = {}},
+                     tick_us, max_tick_us, "top") {}
+
+  [[nodiscard]] ser::StateBuffer encode_state() const override {
+    ++encodes;
+    ser::StateBuffer state;
+    state.push_frame(ser::StateFrame{{ser::Value{std::int64_t{42}}}});
+    return state;
+  }
+  [[nodiscard]] std::string answer(const std::string& format) const override {
+    return module_name() + ":" + format;
+  }
+
+  std::vector<net::SimTime> folds;
+  std::vector<bool> busy;
+  mutable int encodes = 0;
+  std::optional<std::int64_t> restored;
+
+ private:
+  bool fold() override {
+    folds.push_back(bus().simulator().now());
+    return folds.size() <= busy.size() && busy[folds.size() - 1];
+  }
+  void restore(const ser::StateBuffer& state) override {
+    restored = state.frames().at(0).values.at(0).as_int();
+  }
+};
+
+/// A two-machine bus whose clock can be run to a point between ticks.
+struct Host {
+  Host() : bus(sim) {
+    sim.add_machine("vax", net::arch_vax());
+    sim.add_machine("sparc", net::arch_sparc());
+  }
+  /// Runs every event scheduled up to `t` (exclusive of later ones).
+  void run_until(net::SimTime t) {
+    bool reached = false;
+    sim.schedule_at(t, [&reached] { reached = true; });
+    while (!reached && sim.step()) {
+    }
+  }
+  net::Simulator sim;
+  Bus bus;
+};
+
+TEST(NativeModule, NoTickFiresAfterStopRetireCrashOrDestruction) {
+  const std::vector<std::pair<const char*, std::function<void(
+                                               std::unique_ptr<Ticker>&)>>>
+      endings = {
+          {"stop", [](auto& t) { t->stop(); }},
+          {"retire", [](auto& t) { t->retire(); }},
+          {"crash", [](auto& t) { EXPECT_TRUE(t->crash("test")); }},
+          // A tick is pending at destruction: it must fire into nothing
+          // (AddressSanitizer reports a callback into the freed module).
+          {"destruction", [](auto& t) { t.reset(); }},
+      };
+  for (const auto& [how, end] : endings) {
+    Host h;
+    auto t = std::make_unique<Ticker>(h.bus, "t", 10, 10);
+    h.run_until(25);
+    ASSERT_EQ(t->folds, (std::vector<net::SimTime>{10, 20})) << how;
+    end(t);
+    h.run_until(200);
+    if (t != nullptr) {
+      EXPECT_EQ(t->folds.size(), 2u) << how;
+    }
+    const bool kept = std::string_view(how) == "stop" ||
+                      std::string_view(how) == "crash";
+    EXPECT_EQ(h.bus.has_module("t"), kept) << how;
+  }
+}
+
+TEST(NativeModule, CrashKeepsTheRegistrationAndWithdrawsTheQuery) {
+  Host h;
+  Ticker t(h.bus, "t", 10, 10);
+  Client query(h.bus, "t");
+  EXPECT_EQ(query.mh_top("json"), "t:json");
+  EXPECT_EQ(h.bus.native("t"), &t);
+  EXPECT_TRUE(t.crash("host lost"));
+  EXPECT_FALSE(t.crash("again"));
+  EXPECT_TRUE(t.crashed());
+  EXPECT_TRUE(h.bus.has_module("t"));
+  EXPECT_EQ(query.mh_top("json"), "{}");
+}
+
+TEST(NativeModule, IdleTicksBackOffToTheCapAndWorkSnapsBack) {
+  Host h;
+  Ticker t(h.bus, "t", 10, 80);
+  t.busy = {false, false, false, false, false, true};
+  h.run_until(345);
+  // Idle delays 20, 40, 80, 80; the busy fold at 310 snaps back to 10.
+  EXPECT_EQ(t.folds,
+            (std::vector<net::SimTime>{10, 30, 70, 150, 230, 310, 320, 340}));
+
+  Host fixed;
+  Ticker f(fixed.bus, "f", 10, 10);  // the cap equals the tick
+  fixed.run_until(45);
+  EXPECT_EQ(f.folds, (std::vector<net::SimTime>{10, 20, 30, 40}));
+}
+
+TEST(NativeModule, CloneFoldsOnlyFromTheTickAfterItsInstall) {
+  Host h;
+  Ticker original(h.bus, "original", 10, 10);
+  Ticker clone(h.bus, "clone", 10, 80, "clone");
+  Client query(h.bus, "original");
+  h.run_until(55);
+  EXPECT_TRUE(clone.folds.empty());
+  EXPECT_FALSE(clone.active());
+  EXPECT_EQ(query.mh_top("json"), "original:json");
+
+  // Lands at 65 (local latency 10). A waiting clone keeps the base cadence,
+  // so the tick at 70 installs it; the first fold comes at 80.
+  h.bus.deliver_state("vax", "clone", original.encode_state().encode());
+  h.run_until(75);
+  EXPECT_EQ(clone.restored, 42);
+  EXPECT_TRUE(clone.active());
+  EXPECT_TRUE(clone.folds.empty());
+  EXPECT_EQ(query.mh_top("json"), "clone:json");
+  h.run_until(85);
+  EXPECT_EQ(clone.folds, (std::vector<net::SimTime>{80}));
+
+  // Retiring the predecessor never tears down its successor's answer.
+  original.retire();
+  EXPECT_EQ(query.mh_top("json"), "clone:json");
+}
+
+TEST(NativeModule, SignalledModuleDivulgesOnceAndNeverTicksAgain) {
+  Host h;
+  Ticker t(h.bus, "t", 10, 10);
+  h.run_until(25);
+  h.bus.signal_reconfig("t");  // lands at 35
+  h.run_until(500);
+  EXPECT_EQ(t.folds, (std::vector<net::SimTime>{10, 20, 30}));
+  EXPECT_EQ(t.encodes, 1);
+  EXPECT_TRUE(t.passivated());
+  ASSERT_TRUE(h.bus.has_divulged_state("t"));
+  EXPECT_EQ(ser::StateBuffer::decode(h.bus.take_divulged_state("t")),
+            t.encode_state());
 }
 
 }  // namespace

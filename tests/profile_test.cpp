@@ -7,9 +7,13 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "app/runtime.hpp"
 #include "app/samples.hpp"
@@ -205,6 +209,100 @@ TEST(Telemetry, StateRoundTripReproducesTopExactly) {
   EXPECT_EQ(clone.top("table"), original.top("table"));
 }
 
+// A divulged window state crosses the network. Flipped bytes and
+// truncations of a real buffer, and well-formed buffers with a frame cut
+// short or an integer set to -1, 0 or the maximum, are rejected with
+// BusError or VmError and leave the collector as it was; a buffer that is
+// accepted leaves a collector that can still apply a delta (an empty window
+// geometry would divide by zero there) and render mh_top.
+TEST(Telemetry, MalformedStateBuffersAreRejectedCleanly) {
+  auto rt = make_counter(7, 120);
+  rt->enable_metrics();
+  Collector original(rt->bus(), "collector", "vax");
+  Reporter reporter(rt->bus(), rt->metrics(), "vax", "collector");
+  rt->run_for(500'000);
+  const ser::StateBuffer valid = original.encode_state();
+  ASSERT_GT(valid.frame_count(), 3u);
+
+  int accepted = 0;
+  int rejected = 0;
+  const auto install = [&](const ser::StateBuffer& state) {
+    net::Simulator sim;
+    sim.add_machine("vax", net::arch_vax());
+    bus::Bus bus(sim);
+    Collector clone(bus, "clone", "vax", {}, "clone");
+    clone.install_state(valid);
+    try {
+      clone.install_state(state);
+    } catch (const support::BusError&) {
+      ++rejected;
+      EXPECT_EQ(clone.encode_state(), valid);
+      return;
+    } catch (const support::VmError&) {
+      ++rejected;
+      EXPECT_EQ(clone.encode_state(), valid);
+      return;
+    }
+    ++accepted;
+    bus::ModuleInfo feeder;
+    feeder.name = "feeder";
+    feeder.machine = "vax";
+    feeder.interfaces = {{"out", bus::IfaceRole::kDefine, "", ""}};
+    bus.add_module(std::move(feeder));
+    bus.add_binding({"feeder", "out"}, {"clone", "ingest"});
+    using ser::Value;
+    bus::Client(bus, "feeder")
+        .write("out", {Value{std::string{"vax"}}, Value{std::string{"m"}},
+                       Value{std::string{""}}, Value{std::string{"x"}},
+                       Value{std::string{"c"}}, Value{std::int64_t{1}}});
+    (void)sim.run(8);
+    EXPECT_EQ(clone.deltas_applied(), 1u);
+    (void)clone.top("json");
+    (void)clone.top("table");
+  };
+
+  const std::vector<std::uint8_t> bytes = valid.encode();
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    std::vector<std::uint8_t> flipped = bytes;
+    flipped[i] ^= 0xff;
+    for (const auto& corrupt :
+         {flipped, std::vector<std::uint8_t>(
+                       bytes.begin(),
+                       bytes.begin() + static_cast<std::ptrdiff_t>(i))}) {
+      try {
+        install(ser::StateBuffer::decode(corrupt));
+      } catch (const support::VmError&) {
+        ++rejected;  // the decoder's own rejection
+      }
+    }
+  }
+  const std::vector<ser::StateFrame>& frames = valid.frames();
+  const auto with = [&](std::size_t f, ser::StateFrame frame) {
+    ser::StateBuffer out;
+    for (std::size_t k = 0; k < frames.size(); ++k) {
+      out.push_frame(k == f ? frame : frames[k]);
+    }
+    return out;
+  };
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    ser::StateFrame cut = frames[f];
+    cut.values.pop_back();
+    install(with(f, cut));
+    for (std::size_t v = 0; v < frames[f].values.size(); ++v) {
+      if (!frames[f].values[v].is_int()) continue;
+      for (const std::int64_t x :
+           {std::int64_t{-1}, std::int64_t{0},
+            std::numeric_limits<std::int64_t>::max()}) {
+        ser::StateFrame changed = frames[f];
+        changed.values[v] = ser::Value{x};
+        install(with(f, changed));
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
 // The acceptance bar: replacing the aggregator module itself must not
 // perturb the cluster view. 215 seeds vary the network schedule AND the
 // chaos fault mix (drops, duplicates, delays on every link — telemetry
@@ -280,6 +378,96 @@ TEST(Telemetry, ReplaceCollectorRollsBackWhenTheBudgetRunsOut) {
   rt->run_for(1'000'000);
   EXPECT_FALSE(collector->passivated());
   EXPECT_GT(collector->deltas_applied(), before);
+}
+
+// A native swap honours max_attempts: the first clone crashes on its first
+// state delivery, and a fresh clone adopts its bindings and queues and gets
+// the held buffer re-delivered, so no window is lost.
+TEST(Telemetry, ReplaceCollectorRetriesACrashedClone) {
+  const std::uint64_t seed = 5;
+  chaos::FaultInjector faults(seed);
+  auto rt = make_counter(seed, 40);
+  rt->enable_metrics();
+  chaos::LinkFaults mix;
+  mix.drop = 0.04 * static_cast<double>(seed % 3);
+  mix.duplicate = 0.03 * static_cast<double>(seed % 4);
+  mix.delay = 0.04 * static_cast<double>(seed % 5);
+  mix.jitter_us = 200 + (seed % 7) * 300;
+  faults.set_default(mix);
+  faults.attach(rt->bus());
+
+  auto collector = std::make_unique<Collector>(rt->bus(), "collector", "vax");
+  auto vax =
+      std::make_unique<Reporter>(rt->bus(), rt->metrics(), "vax", "collector");
+  auto sparc = std::make_unique<Reporter>(rt->bus(), rt->metrics(), "sparc",
+                                          "collector");
+  rt->run_for(400'000);
+  vax->stop();
+  sparc->stop();
+  rt->run_for(2'000'000);
+  const std::string before = collector->top("json");
+  ASSERT_NE(before.find("\"series\":[{"), std::string::npos);
+
+  bool armed = true;
+  rt->bus().set_state_observer([&](const std::string& module,
+                                   const char* phase,
+                                   const std::vector<std::uint8_t>&) {
+    if (armed && std::string_view(phase) == "delivered") {
+      armed = false;
+      rt->crash_module(module, "crashed on first state delivery");
+    }
+  });
+  reconfig::ReplaceOptions options = on("vax");
+  options.max_attempts = 2;
+  const reconfig::ReplaceReport report =
+      reconfig::replace_module(*rt, collector, options);
+  EXPECT_FALSE(armed);
+  EXPECT_EQ(report.attempts, 2);
+  EXPECT_EQ(report.new_instance, "collector#3");
+  EXPECT_EQ(collector->module_name(), "collector#3");
+  EXPECT_FALSE(rt->bus().has_module("collector#2"));
+  EXPECT_FALSE(rt->bus().has_module("collector"));
+  EXPECT_EQ(collector->top("json"), before);
+  bus::Client query(rt->bus(), "client");
+  EXPECT_EQ(query.mh_top("json"), before);
+}
+
+// A machine crash reaches the native modules it hosts through their bus
+// registrations: the dead machine's Reporter stops streaming, so a series
+// bumped there after the crash never reaches the collector, while the
+// surviving machine's Reporter keeps reporting.
+TEST(Telemetry, MachineCrashSilencesItsReporter) {
+  auto rt = make_counter(12, 40);
+  rt->enable_metrics();
+  auto collector = std::make_unique<Collector>(rt->bus(), "collector", "vax");
+  Reporter vax(rt->bus(), rt->metrics(), "vax", "collector");
+  Reporter sparc(rt->bus(), rt->metrics(), "sparc", "collector");
+  for (const auto& [name, machine] :
+       {std::pair{"sensor", "sparc"}, std::pair{"meter", "vax"}}) {
+    bus::ModuleInfo info;
+    info.name = name;
+    info.machine = machine;
+    rt->bus().add_module(std::move(info));
+  }
+  rt->run_for(300'000);
+
+  EXPECT_EQ(rt->crash_machine("sparc"),
+            std::vector<std::string>{"telemetry@sparc"});
+  EXPECT_TRUE(rt->module_crashed("telemetry@sparc"));
+  EXPECT_FALSE(rt->module_crashed("telemetry@vax"));
+  EXPECT_TRUE(rt->bus().has_module("telemetry@sparc"));  // the corpse
+  EXPECT_THROW(rt->crash_module("nosuch"), support::BusError);
+
+  rt->metrics().counter("app_events_total", {{"module", "sensor"}}).inc(5);
+  rt->metrics().counter("app_events_total", {{"module", "meter"}}).inc(7);
+  rt->run_for(1'000'000);
+  const std::string json = collector->top("json");
+  EXPECT_EQ(json.find("\"module\":\"sensor\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"module\":\"meter\",\"iface\":\"\","
+                      "\"metric\":\"app_events_total\",\"kind\":\"counter\","
+                      "\"total\":7,"),
+            std::string::npos)
+      << json;
 }
 
 // --- obs exporters under replacement churn (satellite) -----------------------

@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -186,6 +187,92 @@ TEST(Engine, StateRoundTripPreservesWindowsCountersAndAlertIds) {
   EXPECT_EQ(clone.blackouts(), engine.blackouts());
   // The clone continues the alert sequence, it does not re-fire.
   EXPECT_TRUE(clone.evaluate(1'300'000).empty());
+}
+
+// A divulged engine state crosses the network. Flipped bytes and
+// truncations of a real buffer, and well-formed buffers with a frame cut
+// short or an integer set to -1, 0 or the maximum, are rejected with
+// BusError or VmError and leave the engine as it was; a buffer that is
+// accepted leaves an engine that can still observe (an empty window
+// geometry would divide by zero or index an empty ring there), evaluate
+// and report.
+TEST(Engine, MalformedStateBuffersAreRejectedCleanly) {
+  Engine engine;
+  engine.add_objective(
+      parse_objective("o service=s p99<1000us window=10s fast=5s@2 slow=5s@2"));
+  engine.note_blackout(900'000, 910'000);
+  for (int i = 0; i < 6; ++i) {
+    Completion c =
+        make_completion(1'000'000 + i * 1000, i % 2 == 0 ? 500 : 5'000);
+    c.hops.push_back(Completion::Hop{"filter", 10, 5});
+    engine.observe("s", c);
+  }
+  (void)engine.evaluate(1'100'000);
+  const ser::StateBuffer valid = engine.encode_state();
+
+  int accepted = 0;
+  int rejected = 0;
+  const auto install = [&](const ser::StateBuffer& state) {
+    Engine clone;
+    clone.install_state(valid);
+    try {
+      clone.install_state(state);
+    } catch (const support::BusError&) {
+      ++rejected;
+      EXPECT_EQ(clone.encode_state(), valid);
+      return;
+    } catch (const support::VmError&) {
+      ++rejected;
+      EXPECT_EQ(clone.encode_state(), valid);
+      return;
+    }
+    ++accepted;
+    clone.observe("s", make_completion(2'000'000, 5'000));
+    (void)clone.evaluate(2'100'000);
+    (void)clone.objective_status(2'100'000);
+    (void)clone.service_status(2'100'000);
+  };
+
+  const std::vector<std::uint8_t> bytes = valid.encode();
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    std::vector<std::uint8_t> flipped = bytes;
+    flipped[i] ^= 0xff;
+    for (const auto& corrupt :
+         {flipped, std::vector<std::uint8_t>(
+                       bytes.begin(),
+                       bytes.begin() + static_cast<std::ptrdiff_t>(i))}) {
+      try {
+        install(ser::StateBuffer::decode(corrupt));
+      } catch (const support::VmError&) {
+        ++rejected;  // the decoder's own rejection
+      }
+    }
+  }
+  const std::vector<ser::StateFrame>& frames = valid.frames();
+  const auto with = [&](std::size_t f, ser::StateFrame frame) {
+    ser::StateBuffer out;
+    for (std::size_t k = 0; k < frames.size(); ++k) {
+      out.push_frame(k == f ? frame : frames[k]);
+    }
+    return out;
+  };
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    ser::StateFrame cut = frames[f];
+    cut.values.pop_back();
+    install(with(f, cut));
+    for (std::size_t v = 0; v < frames[f].values.size(); ++v) {
+      if (!frames[f].values[v].is_int()) continue;
+      for (const std::int64_t x :
+           {std::int64_t{-1}, std::int64_t{0},
+            std::numeric_limits<std::int64_t>::max()}) {
+        ser::StateFrame changed = frames[f];
+        changed.values[v] = ser::Value{x};
+        install(with(f, changed));
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // --- request tracker ---------------------------------------------------------
