@@ -27,13 +27,14 @@
 //
 // BM_KvSteadyFleet -- steady-state serving with a GroupManager watching
 // 5 ms heartbeats. After 200 warm-up operations the timed region serves
-// the next 1,000 acknowledged ones (host_us_per_op). The one piece of work
-// that must grow with the fleet is one beat per live module per heartbeat,
-// and a beat from a module that has not moved is one name compare in the
-// detector. A router tick visits only the groups with an operation in
-// flight or waiting, so it costs the work it finds, and everything else is
-// paid per operation: 16x the shards may cost at most 16x per op, and the
-// heartbeat fan-out is what keeps it above 1x.
+// the next 1,000 acknowledged ones (host_us_per_op). No process starts or
+// stops in the timed region, so every heartbeat tick reuses the runtime's
+// live list and takes the detector's fast path: one store per machine, 8
+// machines at every fleet size. A router tick visits only the groups with
+// an operation in flight or waiting, so it costs the work it finds, and
+// everything else is paid per operation. What still separates 256 shards
+// from 16 is the working set the same work touches (more processes, peer
+// lists and streams), not a loop over the fleet.
 //
 // BM_KvRebuildFleet -- one machine loss, healed: once the client has
 // finished its 200 operations m0 is crashed, and the GroupManager rebuilds

@@ -80,6 +80,7 @@ void Runtime::drop_process(const std::string& instance) {
   if (it == processes_.end()) return;
   if (!it->second.waiting && !it->second.finished) unready(it);
   processes_.erase(it);
+  ++live_generation_;
 }
 
 void Runtime::install_module(const std::string& instance, ModuleImage image,
@@ -127,6 +128,7 @@ void Runtime::start_module(const std::string& instance) {
       &metrics_.gauge("surgeon_vm_encoded_state_bytes", labels);
   if (profiler_ != nullptr) attach_tap(instance, rec);
   make_ready(processes_.emplace(instance, std::move(rec)).first);
+  ++live_generation_;
 }
 
 void Runtime::stop_module(const std::string& instance) {
@@ -144,6 +146,7 @@ void Runtime::crash_now(ProcessIt it, const std::string& detail) {
   ProcessRec& rec = it->second;
   if (!rec.waiting) unready(it);
   rec.finished = true;
+  ++live_generation_;
   rec.crash_in_insns.reset();
   crashed_.insert(instance);
   bus_.note_module_crashed(instance, detail);
@@ -354,10 +357,12 @@ void Runtime::run_slice(ProcessIt it) {
     case vm::RunState::kDone:
       unready_running();
       rec.finished = true;
+      ++live_generation_;
       break;
     case vm::RunState::kFault:
       unready_running();
       rec.finished = true;
+      ++live_generation_;
       if (!first_fault_.has_value()) {
         first_fault_ = {it->first, rec.machine->fault_message()};
       }
@@ -449,10 +454,15 @@ void Runtime::heartbeat_tick(std::uint64_t epoch) {
   // A tick scheduled before disable/re-enable is stale; drop it so exactly
   // one tick chain is live per enable_heartbeats() call.
   if (epoch != hb_epoch_ || !hb_sink_) return;
-  for (auto& [name, rec] : processes_) {
-    if (rec.finished) continue;  // crashed/done processes stop beating
-    hb_sink_(name, rec.host, sim_.now());
+  if (hb_listed_ != live_generation_) {
+    hb_live_.clear();
+    for (const auto& [name, rec] : processes_) {
+      // Crashed and finished processes stop beating.
+      if (!rec.finished) hb_live_.push_back(LiveProcess{&name, &rec.host});
+    }
+    hb_listed_ = live_generation_;
   }
+  hb_sink_(sim_.now(), live_generation_, hb_live_);
   sim_.schedule_after(hb_interval_us_,
                       [this, epoch] { heartbeat_tick(epoch); });
 }

@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,13 @@ namespace surgeon::app {
 struct ModuleImage {
   cfg::ModuleSpec spec;
   std::shared_ptr<const vm::CompiledProgram> program;
+};
+
+/// A live process as a heartbeat tick lists it: its instance name and its
+/// host machine.
+struct LiveProcess {
+  const std::string* instance;
+  const std::string* host;
 };
 
 class Runtime {
@@ -199,18 +207,24 @@ class Runtime {
 
   // --- heartbeats (surgeon::recover) ----------------------------------------
 
-  /// Called once per heartbeat tick for every live (non-finished) process:
-  /// (instance, its host machine, virtual time of the beat). A process's
-  /// host is fixed for its life -- start_module reads it from the bus
-  /// registration, and a process leaves only with that registration -- so
-  /// the beat carries it, and the machine-level detector behind
-  /// replicate::GroupManager need not ask the bus. recover::Supervisor's
-  /// per-module detector ignores it.
-  using HeartbeatSink = std::function<void(
-      const std::string& instance, const std::string& host, net::SimTime)>;
+  /// Called once per heartbeat tick with the tick's virtual time, the
+  /// liveness generation and every live (neither finished nor crashed)
+  /// process in name order. The generation moves whenever that set
+  /// changes: a process starts, is dropped, finishes, faults or crashes. A
+  /// process's host is fixed for its life -- start_module reads it from the
+  /// bus registration, and a process leaves only with that registration --
+  /// so an unchanged generation means an unchanged list of (instance,
+  /// host) pairs, and the machine-level detector behind
+  /// replicate::GroupManager can re-beat the machines its last walk found
+  /// without reading the list. The runtime rebuilds the list only when the
+  /// generation has moved; its pointers stay valid until the sink returns.
+  /// recover::Supervisor's per-module detector walks it and ignores hosts.
+  using HeartbeatSink =
+      std::function<void(net::SimTime at, std::uint64_t generation,
+                         std::span<const LiveProcess> live)>;
 
   /// Starts a periodic virtual-clock heartbeat: every `interval_us` the
-  /// runtime reports each live process to `sink`. Crashed and finished
+  /// runtime reports the live processes to `sink`. Crashed and finished
   /// processes stop beating, which is exactly what a timeout detector
   /// watches for. NOTE: the self-rescheduling tick keeps the simulator
   /// permanently non-idle, so run_until_idle() will burn its whole rounds
@@ -305,6 +319,11 @@ class Runtime {
   HeartbeatSink hb_sink_;
   net::SimTime hb_interval_us_ = 0;
   std::uint64_t hb_epoch_ = 0;  // stale tick events compare and bail
+  /// Moves whenever the set of live processes changes (see HeartbeatSink).
+  std::uint64_t live_generation_ = 0;
+  /// The live processes in name order, as of generation hb_listed_.
+  std::vector<LiveProcess> hb_live_;
+  std::optional<std::uint64_t> hb_listed_;
   profile::Profiler* profiler_ = nullptr;
   profile::ProfileOptions profile_options_;
   std::uint64_t profile_epoch_ = 0;  // same staleness guard as heartbeats

@@ -15,6 +15,9 @@ NativeModule::NativeModule(Bus& bus, ModuleInfo info, net::SimTime tick_us,
       tick_us_(tick_us),
       max_tick_us_(std::max(tick_us, max_tick_us)),
       delay_us_(tick_us) {
+  if (tick_us == 0) {
+    throw support::BusError(info.name + ": native module tick must be nonzero");
+  }
   const bool fresh = info.status == "new";
   bus.add_module(std::move(info), this);
   if (fresh) activate();
@@ -61,8 +64,18 @@ void NativeModule::tick() {
   if (!active_) {
     // A clone folds nothing before its buffer arrives, and its first fold
     // comes on the tick after the install: a query right after the install
-    // reads exactly the divulged state.
-    if (auto state = client_.decode_state()) install_state(*state);
+    // reads exactly the divulged state. A buffer it rejects faults it, as a
+    // VM clone faults in its decode; the engine reads the reason.
+    if (auto state = client_.decode_state()) {
+      try {
+        install_state(*state);
+      } catch (const support::Error& e) {
+        faulted_ = true;
+        fault_message_ = e.what();
+        stop();
+        return;
+      }
+    }
     delay_us_ = tick_us_;
   } else if (client_.take_pending_signal()) {
     (void)client_.encode_state(encode_state());

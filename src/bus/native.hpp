@@ -13,7 +13,8 @@
 //     back to tick_us after a productive one;
 //   - the clone discipline: a "clone" keeps the base cadence and folds
 //     nothing until Client::decode_state() yields its buffer, and folds
-//     first on the tick after installing it;
+//     first on the tick after installing it; a clone that rejects the
+//     buffer faults: it records the reason and never ticks again;
 //   - the handshake: once signalled, the module divulges encode_state()
 //     exactly once, before folding (what is still queued belongs to the
 //     successor), and never ticks again;
@@ -51,6 +52,12 @@ class NativeModule {
   /// Signalled and divulged; no longer ticking (awaiting retirement).
   [[nodiscard]] bool passivated() const noexcept { return passivated_; }
   [[nodiscard]] bool crashed() const noexcept { return crashed_; }
+  /// A clone that rejected its state buffer; it no longer ticks.
+  [[nodiscard]] bool faulted() const noexcept { return faulted_; }
+  /// Why it rejected the buffer; empty unless faulted().
+  [[nodiscard]] const std::string& fault_message() const noexcept {
+    return fault_message_;
+  }
 
   /// Stops the tick chain; the module stays registered (its in-flight
   /// traffic still needs its endpoints).
@@ -78,6 +85,8 @@ class NativeModule {
  protected:
   /// Registers `info` and schedules the first tick `tick_us` from now. A
   /// non-empty `query` is the bus query the module answers while active.
+  /// Throws BusError, before registering, for a zero `tick_us` (every tick
+  /// would reschedule at the same virtual microsecond).
   NativeModule(Bus& bus, ModuleInfo info, net::SimTime tick_us,
                net::SimTime max_tick_us, std::string query = {});
 
@@ -104,6 +113,8 @@ class NativeModule {
   bool active_ = false;
   bool passivated_ = false;
   bool crashed_ = false;
+  bool faulted_ = false;
+  std::string fault_message_;
   /// Liveness guard: a scheduled tick holds a weak reference to it.
   std::shared_ptr<int> alive_ = std::make_shared<int>(0);
 };

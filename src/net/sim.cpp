@@ -41,22 +41,33 @@ SimTime Simulator::message_latency(const std::string& a, const std::string& b) {
   return link_latency(a == b);
 }
 
-void Simulator::schedule_at(SimTime t, std::function<void()> fn) {
-  if (t < now_us_) t = now_us_;
-  events_.push_back(Event{t, next_seq_++, std::move(fn)});
-  std::push_heap(events_.begin(), events_.end(), Later{});
+void Simulator::schedule_at(SimTime t, Callback fn) {
+  if (free_.empty()) {
+    slots_.emplace_back();
+    free_.reserve(slots_.capacity());
+    free_.push_back(static_cast<std::uint32_t>(slots_.size() - 1));
+  }
+  const std::uint32_t slot = free_.back();
+  queue_.push_back(Key{t < now_us_ ? now_us_ : t, next_seq_++, slot});
+  free_.pop_back();
+  slots_[slot] = std::move(fn);
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 bool Simulator::step() {
-  if (events_.empty()) return false;
-  std::pop_heap(events_.begin(), events_.end(), Later{});
-  Event ev = std::move(events_.back());
-  events_.pop_back();
+  if (queue_.empty()) return false;
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  const Key next = queue_.back();
+  queue_.pop_back();
+  // The callback leaves its slot before it runs, so it may schedule events
+  // that reuse the slot or grow the table.
+  Callback fn = std::move(slots_[next.slot]);
+  free_.push_back(next.slot);
   // Monotone clock: advance_time (instruction cost) may have pushed `now`
   // past already-scheduled events; those fire late -- the compute consumed
   // their interval -- rather than rewinding virtual time.
-  if (ev.time > now_us_) now_us_ = ev.time;
-  ev.fn();
+  if (next.time > now_us_) now_us_ = next.time;
+  fn();
   return true;
 }
 

@@ -6,10 +6,14 @@
 // and are bit-for-bit reproducible.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <cstring>
 #include <map>
+#include <new>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "net/arch.hpp"
@@ -80,6 +84,112 @@ struct LatencyModel {
 
 class Simulator {
  public:
+  /// A pending event's callback: any void() callable, move-only ones
+  /// included. A callable that fits kInlineBytes and moves without throwing
+  /// is stored inline, with no allocation; a larger one (a state transfer
+  /// carrying its bytes, say) is stored on the heap.
+  class Callback {
+   public:
+    /// Holds every per-message and per-tick callback the platform
+    /// schedules; the largest is the runtime's sleep wake-up,
+    /// [this, std::string].
+    static constexpr std::size_t kInlineBytes = 40;
+
+    Callback() noexcept = default;
+    template <class F>
+      requires(!std::is_same_v<std::remove_cvref_t<F>, Callback> &&
+               std::is_invocable_v<std::decay_t<F>&>)
+    Callback(F&& fn) : buf_{} {  // implicit: call sites pass lambdas as is
+      using Fn = std::decay_t<F>;
+      if constexpr (kInline<Fn>) {
+        ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
+      } else {
+        ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(fn)));
+      }
+      ops_ = &kOps<Fn>;
+    }
+    Callback(Callback&& other) noexcept { take(other); }
+    Callback& operator=(Callback&& other) noexcept {
+      if (this != &other) {
+        reset();
+        take(other);
+      }
+      return *this;
+    }
+    ~Callback() { reset(); }
+
+    void operator()() { ops_->invoke(buf_); }
+
+   private:
+    struct Ops {
+      void (*invoke)(void* buf);
+      /// Moves the callable from one buffer into another and destroys the
+      /// source; null when copying the buffer's bytes does that.
+      void (*relocate)(void* from, void* to) noexcept;
+      /// Null when the buffer holds nothing to destroy.
+      void (*destroy)(void* buf) noexcept;
+    };
+
+    template <class Fn>
+    static constexpr bool kInline =
+        sizeof(Fn) <= kInlineBytes &&
+        alignof(Fn) <= alignof(std::max_align_t) &&
+        std::is_nothrow_move_constructible_v<Fn>;
+
+    template <class Fn>
+    static Fn& inline_fn(void* buf) noexcept {
+      return *std::launder(static_cast<Fn*>(buf));
+    }
+    template <class Fn>
+    static Fn& heap_fn(void* buf) noexcept {
+      return *inline_fn<Fn*>(buf);
+    }
+    template <class Fn>
+    static void invoke_inline(void* buf) { inline_fn<Fn>(buf)(); }
+    template <class Fn>
+    static void invoke_heap(void* buf) { heap_fn<Fn>(buf)(); }
+    template <class Fn>
+    static void relocate_inline(void* from, void* to) noexcept {
+      ::new (to) Fn(std::move(inline_fn<Fn>(from)));
+      inline_fn<Fn>(from).~Fn();
+    }
+    template <class Fn>
+    static void destroy_inline(void* buf) noexcept { inline_fn<Fn>(buf).~Fn(); }
+    template <class Fn>
+    static void destroy_heap(void* buf) noexcept { delete &heap_fn<Fn>(buf); }
+
+    template <class Fn>
+    static constexpr Ops make_ops() {
+      if constexpr (!kInline<Fn>) {
+        return {&invoke_heap<Fn>, nullptr, &destroy_heap<Fn>};
+      } else if constexpr (std::is_trivially_copyable_v<Fn>) {
+        return {&invoke_inline<Fn>, nullptr, nullptr};
+      } else {
+        return {&invoke_inline<Fn>, &relocate_inline<Fn>,
+                &destroy_inline<Fn>};
+      }
+    }
+    template <class Fn>
+    static constexpr Ops kOps = make_ops<Fn>();
+
+    void take(Callback& other) noexcept {
+      ops_ = std::exchange(other.ops_, nullptr);
+      if (ops_ == nullptr) return;
+      if (ops_->relocate != nullptr) {
+        ops_->relocate(other.buf_, buf_);
+      } else {
+        std::memcpy(buf_, other.buf_, kInlineBytes);
+      }
+    }
+    void reset() noexcept {
+      if (ops_ != nullptr && ops_->destroy != nullptr) ops_->destroy(buf_);
+      ops_ = nullptr;
+    }
+
+    alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+    const Ops* ops_ = nullptr;
+  };
+
   explicit Simulator(std::uint64_t seed = 1) : rng_(seed) {}
 
   /// Registers a machine. Throws BusError if the name is taken.
@@ -123,9 +233,10 @@ class Simulator {
   /// time has passed will run at the advanced clock.
   void advance_time(SimTime dt) noexcept { now_us_ += dt; }
 
-  /// Schedules `fn` at absolute virtual time `t` (clamped to now).
-  void schedule_at(SimTime t, std::function<void()> fn);
-  void schedule_after(SimTime dt, std::function<void()> fn) {
+  /// Schedules `fn` at absolute virtual time `t` (clamped to now). Events
+  /// run in (time, scheduling order): equal times run FIFO.
+  void schedule_at(SimTime t, Callback fn);
+  void schedule_after(SimTime dt, Callback fn) {
     schedule_at(now_us_ + dt, std::move(fn));
   }
 
@@ -134,19 +245,21 @@ class Simulator {
   /// Runs events until the queue is empty or `max_events` is hit.
   /// Returns the number of events executed.
   std::size_t run(std::size_t max_events = SIZE_MAX);
-  [[nodiscard]] bool idle() const noexcept { return events_.empty(); }
+  [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
   [[nodiscard]] std::size_t pending_events() const noexcept {
-    return events_.size();
+    return queue_.size();
   }
 
  private:
-  struct Event {
+  /// A pending event's place in the queue; its callback waits in
+  /// slots_[slot].
+  struct Key {
     SimTime time;
     std::uint64_t seq;  // tie-break so equal-time events run FIFO
-    std::function<void()> fn;
+    std::uint32_t slot;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       return a.time != b.time ? a.time > b.time : a.seq > b.seq;
     }
   };
@@ -154,8 +267,14 @@ class Simulator {
   SimTime now_us_ = 0;
   std::uint64_t next_seq_ = 0;
   /// Binary heap under Later (std::push_heap/pop_heap): the earliest event
-  /// sits at the front, and step() moves it out instead of copying it.
-  std::vector<Event> events_;
+  /// sits at the front. Sifts move trivially copyable keys; a callback stays
+  /// in its slot until step() moves it out to run it.
+  std::vector<Key> queue_;
+  /// The slot table: one callback per pending event, empty when free.
+  std::vector<Callback> slots_;
+  /// Free slots of slots_, reused last-freed first. Its capacity never
+  /// falls below slots_.size(), so freeing a slot cannot allocate.
+  std::vector<std::uint32_t> free_;
   std::map<std::string, Machine> machines_;
   std::map<std::string, DurableStore> stores_;
   LatencyModel latency_;

@@ -36,6 +36,17 @@ std::string fmt_fixed3(double v) {
 /// The +Inf bucket sentinel on the wire and in window slots.
 constexpr std::int64_t kInfBound = -1;
 
+/// `options`, once its window geometry is known to be usable: a zero
+/// slot_us would divide by zero and zero slots index an empty ring. Throws
+/// BusError naming `what` otherwise.
+const CollectorOptions& checked_geometry(const CollectorOptions& options,
+                                         const char* what) {
+  if (options.slot_us == 0 || options.slots == 0) {
+    throw support::BusError(std::string(what) + ": empty window geometry");
+  }
+  return options;
+}
+
 }  // namespace
 
 // --- Reporter ----------------------------------------------------------------
@@ -140,7 +151,8 @@ Collector::Collector(bus::Bus& bus, std::string module_name,
                     .status = std::move(status),
                     .source = kTelemetrySource,
                     .interfaces = {{"ingest", bus::IfaceRole::kUse, "", ""}}},
-                   options.tick_us, options.tick_us, "top"),
+                   checked_geometry(options, "collector").tick_us,
+                   options.tick_us, "top"),
       options_(options) {}
 
 bool Collector::fold() {
@@ -244,9 +256,7 @@ void Collector::restore(const ser::StateBuffer& state) {
   CollectorOptions options = options_;
   options.slot_us = bus::state_count(frames[0].values[2], kWhat);
   options.slots = bus::state_count(frames[0].values[3], kWhat);
-  if (options.slot_us == 0 || options.slots == 0) {
-    throw support::BusError("collector state: empty window geometry");
-  }
+  (void)checked_geometry(options, kWhat);
   std::vector<Slot> slots;
   std::map<SeriesId, std::int64_t> gauges;
   const auto id_of = [](const std::vector<ser::Value>& v) {

@@ -72,6 +72,8 @@ class Participant {
   /// mh_chg_obj "add"; a no-op for an instance already running.
   virtual void start(const std::string&) {}
   virtual Progress progress(const std::string& name) = 0;
+  /// Why `name` faulted while installing its state (progress kFaulted).
+  virtual std::string fault_message(const std::string& name) = 0;
   /// mh_chg_obj "del": removes the instance and its bindings.
   virtual void retire(const std::string& name) = 0;
 };
@@ -108,6 +110,9 @@ class VmModules final : public Participant {
     return m->restore_frames_remaining() == 0 ? Progress::kRestored
                                               : Progress::kRestoring;
   }
+  std::string fault_message(const std::string& name) override {
+    return rt_.machine_of(name)->fault_message();
+  }
   void retire(const std::string& name) override { rt_.remove_module(name); }
 
  private:
@@ -117,9 +122,10 @@ class VmModules final : public Participant {
 };
 
 /// Native bus modules (bus::NativeModule), reached through their bus
-/// registration: a clone stays passive until its state buffer arrives, and
-/// the signalled source divulges and passivates on its next tick. Retiring
-/// the source hands the caller's handle to the clone that took its place.
+/// registration: a clone stays passive until its state buffer arrives (and
+/// faults if it rejects it), and the signalled source divulges and
+/// passivates on its next tick. Retiring the source hands the caller's
+/// handle to the clone that took its place.
 class NativeModules final : public Participant {
  public:
   NativeModules(bus::Bus& bus, const NativeFactory& make_clone,
@@ -140,7 +146,11 @@ class NativeModules final : public Participant {
     const bus::NativeModule* module = bus_.native(name);
     if (module == nullptr) return Progress::kEmpty;
     if (module->crashed()) return Progress::kCrashed;
+    if (module->faulted()) return Progress::kFaulted;
     return module->active() ? Progress::kRestored : Progress::kEmpty;
+  }
+  std::string fault_message(const std::string& name) override {
+    return bus_.native(name)->fault_message();
   }
   void retire(const std::string& name) override {
     if (clones_.erase(name) != 0) return;  // a clone retires as it dies
@@ -424,10 +434,10 @@ class Transaction {
           options_.restore_timeout_us, /*nudging=*/false);
       const Progress progress = modules_.progress(clones_[i]);
       if (progress == Progress::kRestored) return;
-      if (progress == Progress::kFaulted) {  // only VM modules fault
+      if (progress == Progress::kFaulted) {
         throw step_error(kStepAdd, "clone", clones_[i],
                          "faulted while installing state: " +
-                             rt_.machine_of(clones_[i])->fault_message());
+                             modules_.fault_message(clones_[i]));
       }
       if (report_.attempts >= options_.max_attempts) {
         throw step_error(kStepAdd, "clone", clones_[i],

@@ -35,6 +35,35 @@ const char* machine_health_name(MachineHealth h) noexcept {
 
 void MachineDetector::beat(const std::string& module,
                            const std::string& machine, net::SimTime at) {
+  walked_generation_.reset();
+  (void)attribute(module, machine, at);
+}
+
+void MachineDetector::tick(net::SimTime at, std::uint64_t generation,
+                           std::span<const app::LiveProcess> live) {
+  if (walked_generation_ == generation) {
+    beats_ += live.size();
+    for (const MachineMap::iterator rec : walked_machines_) {
+      if (at > rec->second.last) rec->second.last = at;
+    }
+    return;
+  }
+  walked_generation_.reset();
+  walked_machines_.clear();
+  ++walks_;
+  for (const app::LiveProcess& process : live) {
+    const MachineMap::iterator rec =
+        attribute(*process.instance, *process.host, at);
+    if (rec->second.walk != walks_) {
+      rec->second.walk = walks_;
+      walked_machines_.push_back(rec);
+    }
+  }
+  walked_generation_ = generation;
+}
+
+MachineDetector::MachineMap::iterator MachineDetector::attribute(
+    const std::string& module, const std::string& machine, net::SimTime at) {
   ++beats_;
   ModuleMap::iterator attributed = hint_;
   if (attributed == module_machine_.end() || attributed->first != module ||
@@ -52,10 +81,11 @@ void MachineDetector::beat(const std::string& module,
       attributed->second->second.modules.insert(module);
     }
   }
-  MachineRec& rec = attributed->second->second;
-  if (at > rec.last) rec.last = at;
+  const MachineMap::iterator rec = attributed->second;
+  if (at > rec->second.last) rec->second.last = at;
   hint_ = std::next(attributed);
   if (hint_ == module_machine_.end()) hint_ = module_machine_.begin();
+  return rec;
 }
 
 void MachineDetector::detach(MachineMap::iterator machine,
@@ -67,6 +97,7 @@ void MachineDetector::detach(MachineMap::iterator machine,
 void MachineDetector::forget_module(const std::string& module) {
   auto attributed = module_machine_.find(module);
   if (attributed == module_machine_.end()) return;
+  walked_generation_.reset();
   detach(attributed->second, module);
   module_machine_.erase(attributed);
   hint_ = module_machine_.end();
@@ -75,6 +106,7 @@ void MachineDetector::forget_module(const std::string& module) {
 void MachineDetector::forget_machine(const std::string& machine) {
   auto rec = machines_.find(machine);
   if (rec == machines_.end()) return;
+  walked_generation_.reset();
   for (const std::string& module : rec->second.modules) {
     module_machine_.erase(module);
   }

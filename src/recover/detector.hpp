@@ -13,9 +13,11 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "app/runtime.hpp"
 #include "net/sim.hpp"
 
 namespace surgeon::recover {
@@ -80,15 +82,19 @@ struct MachineDetectorOptions {
 /// Aggregates per-module heartbeats (the FailureDetector's currency) into
 /// machine-level verdicts: a machine is as alive as its most recently heard
 /// module. Module-to-machine attribution comes from the caller (the runtime
-/// carries each process's host on its beat); the detector itself never
+/// lists each process's host on its tick); the detector itself never
 /// touches the bus, so it is testable on bare timestamps like
 /// FailureDetector. Each module's attribution is cached, and the runtime
-/// beats its processes in name order -- the attribution map's order -- so
+/// lists its processes in name order -- the attribution map's order -- so
 /// the detector keeps a hint at the attribution it expects next: a beat
 /// from a module that has not moved, arriving in that order, is one name
 /// compare, one host compare and one max. Any other beat (a new module, a
 /// migration, a gap left by a module that stopped beating) is one map
 /// search, after which the hint follows it again.
+///
+/// A whole tick (tick()) costs what changed: a tick whose liveness
+/// generation is the one of the last full walk, with nothing changed in the
+/// detector since, re-stamps only the machines that walk beat.
 class MachineDetector {
  public:
   explicit MachineDetector(MachineDetectorOptions options = {})
@@ -101,6 +107,16 @@ class MachineDetector {
   /// A heartbeat from `module` hosted on `machine` at virtual time `at`.
   void beat(const std::string& module, const std::string& machine,
             net::SimTime at);
+  /// One runtime heartbeat tick (app::Runtime::HeartbeatSink): every
+  /// process in `live` beats on its host at `at`, in list order, so a
+  /// member that migrated (a new process under a new name) vouches for its
+  /// new host only. When `generation` is the one of this detector's last
+  /// full walk and nothing has changed the detector since (forget_module,
+  /// forget_machine or a per-module beat), `live` is the list that walk
+  /// saw: the tick stamps the machines it beat and counts the beats
+  /// without reading the list. Otherwise it walks the list beat by beat.
+  void tick(net::SimTime at, std::uint64_t generation,
+            std::span<const app::LiveProcess> live);
   /// Stops tracking one module (replaced, finished, or rebuilt away). The
   /// machine entry stays while other modules beat on it.
   void forget_module(const std::string& module);
@@ -140,9 +156,13 @@ class MachineDetector {
   struct MachineRec {
     net::SimTime last = 0;           // most recent beat of any module
     std::set<std::string> modules;   // modules attributed here
+    std::uint64_t walk = 0;          // the last full walk that beat it
   };
   using MachineMap = std::map<std::string, MachineRec>;
 
+  /// beat() without ending the fast path; returns the module's machine.
+  MachineMap::iterator attribute(const std::string& module,
+                                 const std::string& machine, net::SimTime at);
   /// Detaches `module` from `machine`; a record left without modules is
   /// erased, so an empty record never makes a healthy machine look silent.
   void detach(MachineMap::iterator machine, const std::string& module);
@@ -160,6 +180,15 @@ class MachineDetector {
   /// module_machine_ resets it, so it never names an erased entry.
   ModuleMap::iterator hint_ = module_machine_.end();
   std::uint64_t beats_ = 0;
+  /// The liveness generation of the last full walk; reset by every change
+  /// to the detector from outside a tick, which ends the fast path.
+  std::optional<std::uint64_t> walked_generation_;
+  std::uint64_t walks_ = 0;
+  /// The machines the last full walk beat, each once. Each keeps a module
+  /// that walk attributed to it until a forget or a per-module beat, both
+  /// of which end the fast path, so these iterators are valid whenever it
+  /// reads them.
+  std::vector<MachineMap::iterator> walked_machines_;
 };
 
 }  // namespace surgeon::recover

@@ -60,8 +60,12 @@ void Supervisor::start() {
   std::uint64_t epoch = ++epoch_;
   rt_->enable_heartbeats(
       options_.heartbeat_interval_us,
-      [this](const std::string& module, const std::string& /*host*/,
-             net::SimTime at) { detector_.beat(module, at); });
+      [this](net::SimTime at, std::uint64_t /*generation*/,
+             std::span<const app::LiveProcess> live) {
+        for (const app::LiveProcess& process : live) {
+          detector_.beat(*process.instance, at);
+        }
+      });
   rt_->simulator().schedule_after(options_.sweep_interval_us,
                                   [this, epoch] { sweep(epoch); });
   if (options_.checkpoint_interval_us > 0) {

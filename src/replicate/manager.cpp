@@ -45,12 +45,9 @@ void GroupManager::start() {
   const std::uint64_t epoch = ++epoch_;
   rt_->enable_heartbeats(
       options_.heartbeat_interval_us,
-      [this](const std::string& module, const std::string& host,
-             net::SimTime at) {
-        // The beat carries the process's host, so a member that migrated
-        // (rebalance: a new process under a new name) vouches for its new
-        // host only.
-        detector_.beat(module, host, at);
+      [this](net::SimTime at, std::uint64_t generation,
+             std::span<const app::LiveProcess> live) {
+        detector_.tick(at, generation, live);
       });
   rt_->simulator().schedule_after(options_.sweep_interval_us,
                                   [this, epoch] { sweep(epoch); });

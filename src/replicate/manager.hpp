@@ -1,6 +1,6 @@
 // GroupManager: the control loop that keeps replica groups redundant.
 //
-// Wiring mirrors recover::Supervisor -- per-module heartbeats feed the
+// Wiring mirrors recover::Supervisor -- runtime heartbeat ticks feed the
 // detector, an epoch-guarded sweep tick acts on verdicts, and a control
 // re-entrancy flag keeps nested ticks (every script wait pumps the
 // scheduler) from starting overlapping repairs. The difference is the unit

@@ -134,7 +134,9 @@ Monitor::Monitor(bus::Bus& bus, std::string module_name, std::string machine,
            .source = kSloSource,
            .interfaces = {{"ingest", bus::IfaceRole::kUse, "", ""},
                           {"alerts", bus::IfaceRole::kDefine, "", ""}}},
-          options.tick_us, options.max_tick_us, "slo"),
+          // The engine's geometry is checked before the module registers.
+          ((void)Engine::checked(options.engine), options.tick_us),
+          options.max_tick_us, "slo"),
       options_(options),
       engine_(options.engine) {}
 

@@ -111,6 +111,13 @@ const char* alert_kind_name(AlertEvent::Kind kind) noexcept {
 
 // --- Engine ------------------------------------------------------------------
 
+const EngineOptions& Engine::checked(const EngineOptions& options) {
+  if (options.slot_us == 0 || options.slots == 0) {
+    throw BusError("slo engine: empty window geometry");
+  }
+  return options;
+}
+
 void Engine::add_objective(Objective objective) {
   for (const Objective& o : objectives_) {
     if (o.name == objective.name) {
@@ -368,9 +375,6 @@ void Engine::install_state(const ser::StateBuffer& state) {
   // Built aside and moved in, so a rejected buffer changes nothing.
   const std::vector<ser::Value>& head = frames[0].values;
   Engine next(EngineOptions{count(head[1]), count(head[2])});
-  if (next.options_.slot_us == 0 || next.options_.slots == 0) {
-    throw BusError("slo engine state: empty window geometry");
-  }
   next.next_alert_ = count(head[3]);
   next.completions_total_ = count(head[4]);
   // Fields per frame kind: blackout, objective, objective counters,

@@ -104,7 +104,12 @@ struct EngineOptions {
 
 class Engine {
  public:
-  explicit Engine(EngineOptions options = {}) : options_(options) {}
+  /// Throws support::BusError for an empty window geometry (see checked).
+  explicit Engine(EngineOptions options = {}) : options_(checked(options)) {}
+  /// `options`, once its window geometry is known to be usable: a zero
+  /// slot_us would divide by zero and zero slots index an empty ring.
+  /// Throws support::BusError otherwise.
+  static const EngineOptions& checked(const EngineOptions& options);
 
   /// Throws support::BusError on a duplicate objective name.
   void add_objective(Objective objective);

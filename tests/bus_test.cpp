@@ -682,7 +682,8 @@ TEST_F(BusTest, AppliedControlHistoryStaysBounded) {
 
 /// A native module on "vax" that records when each fold ran, reports the
 /// busy verdicts `busy` scripts (idle once they run out), divulges one
-/// integer and answers the "top" query.
+/// integer, answers the "top" query, and rejects every buffer while
+/// `reject` is set.
 class Ticker final : public NativeModule {
  public:
   Ticker(Bus& bus, const std::string& name, net::SimTime tick_us,
@@ -709,6 +710,7 @@ class Ticker final : public NativeModule {
   std::vector<bool> busy;
   mutable int encodes = 0;
   std::optional<std::int64_t> restored;
+  bool reject = false;
 
  private:
   bool fold() override {
@@ -716,6 +718,7 @@ class Ticker final : public NativeModule {
     return folds.size() <= busy.size() && busy[folds.size() - 1];
   }
   void restore(const ser::StateBuffer& state) override {
+    if (reject) throw BusError("unusable buffer");
     restored = state.frames().at(0).values.at(0).as_int();
   }
 };
@@ -816,6 +819,32 @@ TEST(NativeModule, CloneFoldsOnlyFromTheTickAfterItsInstall) {
   // Retiring the predecessor never tears down its successor's answer.
   original.retire();
   EXPECT_EQ(query.mh_top("json"), "clone:json");
+}
+
+TEST(NativeModule, CloneThatRejectsItsBufferFaultsAndStopsTicking) {
+  Host h;
+  Ticker original(h.bus, "original", 10, 10);
+  Ticker clone(h.bus, "clone", 10, 80, "clone");
+  clone.reject = true;
+  h.bus.deliver_state("vax", "clone", original.encode_state().encode());
+  original.stop();
+  h.run_until(500);
+  EXPECT_TRUE(clone.faulted());
+  EXPECT_EQ(clone.fault_message(), "unusable buffer");
+  EXPECT_FALSE(clone.active());
+  EXPECT_FALSE(clone.restored.has_value());
+  EXPECT_TRUE(clone.folds.empty());
+  EXPECT_TRUE(h.sim.idle());  // no tick left pending
+  EXPECT_TRUE(h.bus.has_module("clone"));
+  EXPECT_FALSE(original.faulted());
+}
+
+// A zero tick would reschedule every tick at the same virtual microsecond.
+TEST(NativeModule, ZeroTickIsRejectedBeforeRegistration) {
+  Host h;
+  EXPECT_THROW((void)Ticker(h.bus, "t", 0, 80), BusError);
+  EXPECT_FALSE(h.bus.has_module("t"));
+  EXPECT_TRUE(h.sim.idle());
 }
 
 TEST(NativeModule, SignalledModuleDivulgesOnceAndNeverTicksAgain) {

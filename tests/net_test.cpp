@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "net/sim.hpp"
 #include "support/diag.hpp"
 
@@ -79,6 +86,110 @@ TEST(Sim, PastEventsClampToNow) {
   sim.run();
   EXPECT_TRUE(ran);
   EXPECT_EQ(sim.now(), 100u);
+}
+
+/// A move-only capture that counts, per event id, how often the callback
+/// holding it was destroyed; a moved-from token counts nothing.
+class Token {
+ public:
+  Token(std::vector<int>* destroyed, std::size_t id)
+      : destroyed_(destroyed), id_(id) {}
+  Token(Token&& other) noexcept
+      : destroyed_(std::exchange(other.destroyed_, nullptr)), id_(other.id_) {}
+  Token& operator=(Token&&) = delete;
+  ~Token() {
+    if (destroyed_ != nullptr) ++(*destroyed_)[id_];
+  }
+  [[nodiscard]] std::size_t id() const noexcept { return id_; }
+
+ private:
+  std::vector<int>* destroyed_;
+  std::size_t id_;
+};
+
+/// Schedules events at random, often equal, times -- some in the past --
+/// from outside and from inside running events, recording for each its
+/// effective time and insertion index, the reference order.
+struct QueueModel {
+  QueueModel(std::uint64_t seed, std::vector<int>& destroyed)
+      : rng(seed), destroyed(destroyed) {}
+
+  void schedule(SimTime at) {
+    const std::size_t id = destroyed.size();
+    destroyed.push_back(0);
+    expected.emplace_back(std::max(at, sim.now()), id);
+    Token token(&destroyed, id);
+    if (rng() % 3 == 0) {
+      // Above the inline size: this callback is stored on the heap.
+      std::array<std::uint64_t, 8> pad{};
+      pad[7] = id;
+      static_assert(sizeof(pad) > Simulator::Callback::kInlineBytes);
+      sim.schedule_at(at, [this, token = std::move(token), pad] {
+        fire(token.id(), pad[7]);
+      });
+    } else {
+      sim.schedule_at(at, [this, token = std::move(token)] {
+        fire(token.id(), token.id());
+      });
+    }
+  }
+  [[nodiscard]] SimTime pick_time() {
+    const SimTime now = sim.now();
+    switch (rng() % 4) {
+      case 0: return now;
+      case 1: return now + rng() % 3;
+      case 2: return now >= 2 ? now - 2 : 0;  // in the past: clamped
+      default: return now + rng() % 40;
+    }
+  }
+  void fire(std::size_t id, std::uint64_t carried) {
+    EXPECT_EQ(carried, id);
+    ran.push_back(id);
+    ran_at.push_back(sim.now());
+    // Now and then a burst, so the slot table grows under a running
+    // callback.
+    const int children = rng() % 50 == 0 ? 60 : static_cast<int>(rng() % 3);
+    for (int i = 0; i < children && budget > 0; ++i, --budget) {
+      schedule(pick_time());
+    }
+  }
+
+  std::mt19937_64 rng;
+  std::vector<int>& destroyed;  // per event id; outlives the simulator
+  std::vector<std::pair<SimTime, std::size_t>> expected;  // (time, id)
+  std::vector<std::size_t> ran;
+  std::vector<SimTime> ran_at;
+  int budget = 1'500;
+  Simulator sim;
+};
+
+// The event queue against its reference: events run in (time, insertion
+// order), each at its own time, and every callback -- inline or on the
+// heap, move-only here -- is destroyed exactly once, after it runs or with
+// the simulator.
+TEST(Sim, RandomSchedulesRunInTimeThenInsertionOrder) {
+  for (std::uint64_t seed = 1; seed <= 20 && !HasFailure(); ++seed) {
+    std::vector<int> destroyed;
+    {
+      QueueModel m(seed, destroyed);
+      for (int i = 0; i < 300; ++i) m.schedule(m.rng() % 25);
+      (void)m.sim.run(1'000);  // leaves events pending
+      std::vector<std::pair<SimTime, std::size_t>> order = m.expected;
+      std::sort(order.begin(), order.end());
+      ASSERT_LT(m.ran.size(), order.size()) << "seed " << seed;
+      EXPECT_EQ(m.sim.pending_events(), order.size() - m.ran.size());
+      for (std::size_t i = 0; i < m.ran.size(); ++i) {
+        ASSERT_EQ(m.ran[i], order[i].second) << "seed " << seed << " #" << i;
+        EXPECT_EQ(m.ran_at[i], order[i].first) << "seed " << seed;
+        EXPECT_EQ(destroyed[m.ran[i]], 1) << "seed " << seed;
+      }
+      EXPECT_EQ(std::count(destroyed.begin(), destroyed.end(), 0),
+                static_cast<std::ptrdiff_t>(m.sim.pending_events()));
+    }  // the simulator takes its pending callbacks with it
+    for (std::size_t id = 0; id < destroyed.size(); ++id) {
+      EXPECT_EQ(destroyed[id], 1) << "seed " << seed << " event " << id;
+    }
+  }
 }
 
 TEST(Sim, LatencyModelDistinguishesLocalAndRemote) {

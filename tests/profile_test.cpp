@@ -209,6 +209,22 @@ TEST(Telemetry, StateRoundTripReproducesTopExactly) {
   EXPECT_EQ(clone.top("table"), original.top("table"));
 }
 
+// An empty window geometry would divide by zero (slot_us) or index an
+// empty ring (slots): the collector rejects it before it registers.
+TEST(Telemetry, ZeroWindowGeometryIsRejectedBeforeRegistration) {
+  for (const CollectorOptions bad :
+       {CollectorOptions{.tick_us = 50'000, .slot_us = 0, .slots = 8},
+        CollectorOptions{.tick_us = 50'000, .slot_us = 1'000, .slots = 0}}) {
+    net::Simulator sim;
+    sim.add_machine("vax", net::arch_vax());
+    bus::Bus bus(sim);
+    EXPECT_THROW((void)Collector(bus, "collector", "vax", bad),
+                 support::BusError);
+    EXPECT_FALSE(bus.has_module("collector"));
+    EXPECT_TRUE(sim.idle());
+  }
+}
+
 // A divulged window state crosses the network. Flipped bytes and
 // truncations of a real buffer, and well-formed buffers with a frame cut
 // short or an integer set to -1, 0 or the maximum, are rejected with

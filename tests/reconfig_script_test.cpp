@@ -76,6 +76,53 @@ TEST(Script, NonParticipatingModuleTimesOut) {
   }
 }
 
+/// A native module on "vax" whose clones reject every state buffer.
+class RejectingNative final : public bus::NativeModule {
+ public:
+  RejectingNative(bus::Bus& bus, const std::string& name, std::string status)
+      : NativeModule(bus,
+                     {.name = name,
+                      .machine = "vax",
+                      .status = std::move(status),
+                      .source = {},
+                      .interfaces = {}},
+                     1'000, 1'000) {}
+
+ private:
+  bool fold() override { return false; }
+  void restore(const ser::StateBuffer&) override {
+    throw support::BusError("unusable buffer");
+  }
+};
+
+// A native clone that rejects the divulged buffer faults, as a VM clone
+// that faults in its decode does, and the swap fails with the same
+// ScriptError, naming the add step, the clone and the reason.
+TEST(Script, NativeCloneThatRejectsItsBufferFaultsTheAdd) {
+  auto rt = make_counter();
+  RejectingNative source(rt->bus(), "native", "new");
+  ReplaceOptions options;
+  options.max_attempts = 3;  // a fault is not retried
+  try {
+    (void)replace_native(
+        *rt, "native",
+        [&](const std::string& name, const std::string&) {
+          return std::unique_ptr<bus::NativeModule>(
+              std::make_unique<RejectingNative>(rt->bus(), name, "clone"));
+        },
+        [](std::unique_ptr<bus::NativeModule> heir) {
+          FAIL() << "adopted " << heir->module_name();
+        },
+        options);
+    FAIL() << "expected ScriptError";
+  } catch (const ScriptError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "replace_module[add] clone 'native#2': faulted while "
+              "installing state: unusable buffer");
+  }
+  EXPECT_FALSE(rt->bus().has_module("native#3"));
+}
+
 TEST(Script, TimeoutDefaultsAreFinite) {
   // Regression: both script timeouts used to default to "wait forever",
   // so a non-participating module on a never-idle application wedged the

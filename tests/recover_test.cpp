@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -188,9 +189,12 @@ TEST(Heartbeats, EveryLiveProcessBeatsOnTheVirtualClock) {
   auto rt = make_counter();
   recover::FailureDetector det(
       recover::DetectorOptions{.suspicion_timeout_us = 5'000});
-  rt->enable_heartbeats(
-      1'000, [&](const std::string& module, const std::string& /*host*/,
-                 net::SimTime at) { det.beat(module, at); });
+  rt->enable_heartbeats(1'000, [&](net::SimTime at, std::uint64_t,
+                                    std::span<const app::LiveProcess> live) {
+    for (const app::LiveProcess& process : live) {
+      det.beat(*process.instance, at);
+    }
+  });
   EXPECT_TRUE(rt->heartbeats_enabled());
   rt->run_for(10'000);
   EXPECT_EQ(det.tracked(), 2u);  // client and server both beat
@@ -213,9 +217,10 @@ TEST(Heartbeats, EveryLiveProcessBeatsOnTheVirtualClock) {
 
 TEST(Heartbeats, ZeroIntervalRejected) {
   auto rt = make_counter();
-  EXPECT_THROW(rt->enable_heartbeats(0, [](const std::string&,
-                                           const std::string&, net::SimTime) {}),
-               support::BusError);
+  EXPECT_THROW(
+      rt->enable_heartbeats(0, [](net::SimTime, std::uint64_t,
+                                  std::span<const app::LiveProcess>) {}),
+      support::BusError);
 }
 
 // --- coordinator crash recovery (directed, one test per watershed side) ----

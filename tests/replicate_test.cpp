@@ -410,6 +410,91 @@ TEST(MachineDetectorTest, BeatHintMatchesTheMapSearchModel) {
   EXPECT_GT(det.beats_observed(), 8'000u);
 }
 
+// Whole runtime ticks against per-module beats. A process table in name
+// order, as app::Runtime keeps it, starts, finishes, crashes and drops
+// processes, each of which moves the liveness generation; a dropped name
+// may start again on another host. The detector takes each tick whole,
+// the model beats every listed process one by one. forget_module and
+// forget_machine land between ticks, often on a module the last walk beat.
+// Most ticks change nothing, so the fast path carries most of the run.
+// Every query is compared after every tick.
+TEST(MachineDetectorTest, TickFastPathMatchesPerModuleBeats) {
+  MachineDetectorOptions opts;
+  opts.suspicion_timeout_us = 30'000;
+  opts.confirm_timeout_us = 60'000;
+  MachineDetector det(opts);
+  ModelDetector model(opts);
+  std::mt19937_64 rng(21);
+  std::vector<std::string> machines;
+  for (int m = 0; m < 6; ++m) machines.push_back("h" + std::to_string(m));
+  std::vector<std::string> names;
+  for (int i = 0; i < 30; ++i) names.push_back("p" + std::to_string(i));
+  struct Process {
+    std::string host;
+    bool live = true;
+  };
+  std::map<std::string, Process> table;
+  std::uint64_t generation = 0;
+  const auto any_machine = [&] { return machines[rng() % machines.size()]; };
+  const auto any_name = [&] { return names[rng() % names.size()]; };
+  for (int i = 0; i < 20; ++i) {
+    table.try_emplace(any_name(), Process{any_machine()});
+  }
+  ++generation;
+
+  int quiet_ticks = 0;  // same generation as the last tick, no forget
+  std::uint64_t ticked_generation = 0;
+  net::SimTime now = 0;
+  for (int tick = 0; tick < 600 && !HasFailure(); ++tick) {
+    now += 5'000;
+    bool quiet = true;
+    const auto roll = rng() % 100;
+    if (roll < 6) {  // a process starts, perhaps a returning name
+      if (table.try_emplace(any_name(), Process{any_machine()}).second) {
+        ++generation;
+      }
+    } else if (roll < 12) {  // a process finishes or crashes
+      auto it = table.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng() % table.size()));
+      if (it->second.live) {
+        it->second.live = false;
+        ++generation;
+      }
+    } else if (roll < 16) {  // a process is dropped, live or not
+      if (table.erase(any_name()) != 0) ++generation;
+    } else if (roll < 21) {
+      const std::string module = any_name();
+      det.forget_module(module);
+      model.forget_module(module);
+      quiet = false;
+    } else if (roll < 24) {
+      const std::string machine = any_machine();
+      det.forget_machine(machine);
+      model.forget_machine(machine);
+      quiet = false;
+    }
+    if (table.empty()) {
+      table.try_emplace(any_name(), Process{any_machine()});
+      ++generation;
+    }
+    std::vector<app::LiveProcess> live;
+    for (const auto& [name, process] : table) {
+      if (process.live) live.push_back(app::LiveProcess{&name, &process.host});
+    }
+    if (quiet && generation == ticked_generation) ++quiet_ticks;
+    ticked_generation = generation;
+
+    det.tick(now, generation, live);
+    for (const app::LiveProcess& process : live) {
+      model.beat(*process.instance, *process.host, now);
+    }
+    expect_same_detector(det, model, machines, now,
+                         "tick " + std::to_string(tick));
+  }
+  EXPECT_GT(quiet_ticks, 300);
+  EXPECT_GT(det.beats_observed(), 3'000u);
+}
+
 // --- KV workload -------------------------------------------------------------
 
 struct KvFixture {

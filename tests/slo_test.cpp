@@ -189,6 +189,26 @@ TEST(Engine, StateRoundTripPreservesWindowsCountersAndAlertIds) {
   EXPECT_TRUE(clone.evaluate(1'300'000).empty());
 }
 
+// An empty window geometry would divide by zero (slot_us) or index an
+// empty ring (slots): the engine rejects it at construction, and so does
+// the monitor, before it registers or answers the query.
+TEST(Engine, ZeroWindowGeometryIsRejectedUpFront) {
+  for (const EngineOptions bad :
+       {EngineOptions{.slot_us = 0, .slots = 8},
+        EngineOptions{.slot_us = 1'000, .slots = 0}}) {
+    EXPECT_THROW(Engine{bad}, support::BusError);
+    net::Simulator sim;
+    sim.add_machine("vax", net::arch_vax());
+    bus::Bus bus(sim);
+    MonitorOptions options;
+    options.engine = bad;
+    EXPECT_THROW((void)Monitor(bus, "monitor", "vax", options),
+                 support::BusError);
+    EXPECT_FALSE(bus.has_module("monitor"));
+    EXPECT_TRUE(sim.idle());
+  }
+}
+
 // A divulged engine state crosses the network. Flipped bytes and
 // truncations of a real buffer, and well-formed buffers with a frame cut
 // short or an integer set to -1, 0 or the maximum, are rejected with

@@ -9,18 +9,21 @@
 // twice: untraced, and with the causal flight recorder on, a small ring
 // that has wrapped before measuring starts, and an observer reading each
 // Event, so the traced run also counts journaling a hop and building the
-// Event an observer sees.
+// Event an observer sees. A third test holds the simulator's event queue
+// alone to the same rule for every callback shape the hot paths schedule.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 
 #include "app/runtime.hpp"
 #include "app/samples.hpp"
 #include "cfg/parser.hpp"
+#include "net/sim.hpp"
 
 namespace {
 
@@ -143,6 +146,42 @@ TEST(VmAlloc, TracedRpcIsAllocationFree) {
   EXPECT_GT(module_chars, 0u);
   EXPECT_LE(per_rpc, 0.5) << per_rpc * kMeasuredRpcs << " allocations over "
                           << kMeasuredRpcs << " traced RPCs";
+}
+
+// Once the queue has grown, scheduling and running the callback shapes of
+// the hot paths allocates nothing: a delivery or timer [this, u32], the
+// reliable layer's ack [this, uid, stream, seq], a native tick
+// [this, weak_ptr] and a sleep wake-up [this, std::string].
+TEST(VmAlloc, EventQueueHotPathCapturesAreAllocationFree) {
+  net::Simulator sim;
+  std::uint64_t sum = 0;
+  const auto alive = std::make_shared<int>(0);
+  const std::string instance = "server";  // short enough to copy in place
+  const auto schedule_round = [&] {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      auto delivery = [&sum, i] { sum += i; };
+      auto ack = [&sum, uid = std::uint64_t{i}, stream = std::uint64_t{7},
+                  seq = std::uint64_t{i} * 3] { sum += uid + stream + seq; };
+      auto tick = [&sum, guard = std::weak_ptr<int>(alive)] {
+        if (!guard.expired()) ++sum;
+      };
+      auto wake = [&sum, name = instance] { sum += name.size(); };
+      static_assert(sizeof(delivery) == 16 && sizeof(ack) == 32 &&
+                    sizeof(tick) == 24 && sizeof(wake) == 40);
+      sim.schedule_after(i % 7, std::move(delivery));
+      sim.schedule_after(i % 5, std::move(ack));
+      sim.schedule_after(i % 3, std::move(tick));
+      sim.schedule_after(i % 11, std::move(wake));
+    }
+    (void)sim.run();
+  };
+  schedule_round();  // grows the heap, the slot table and the free list
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  schedule_round();
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_GT(sum, 0u);
+  EXPECT_EQ(after - before, 0u) << "allocations over 1,024 events";
 }
 
 }  // namespace
