@@ -25,16 +25,17 @@
 // us_per_member; launch does a fixed amount of work per member, so the
 // counter stays flat as the fleet grows.
 //
-// BM_KvSteadyFleet -- steady-state serving with a GroupManager watching
-// 5 ms heartbeats. After 200 warm-up operations the timed region serves
-// the next 1,000 acknowledged ones (host_us_per_op). No process starts or
-// stops in the timed region, so every heartbeat tick reuses the runtime's
-// live list and takes the detector's fast path: one store per machine, 8
-// machines at every fleet size. A router tick visits only the groups with
-// an operation in flight or waiting, so it costs the work it finds, and
-// everything else is paid per operation. What still separates 256 shards
-// from 16 is the working set the same work touches (more processes, peer
-// lists and streams), not a loop over the fleet.
+// BM_KvSteadyFleet -- steady-state serving with a GroupManager whose
+// detector reads the runtime's liveness every 5 ms. After 200 warm-up
+// operations the timed region serves the next 1,000 acknowledged ones
+// (host_us_per_op). No process starts or stops in the timed region, so the
+// liveness generation never moves and every heartbeat tick takes the
+// detector's fast path: it moves one stamp and counts the beats, at every
+// fleet size. A router tick visits only the groups with an operation in
+// flight or waiting, so it costs the work it finds, and everything else is
+// paid per operation. What still separates 256 shards from 16 is the
+// working set the same work touches (more processes, peer lists and
+// streams), not a loop over the fleet.
 //
 // BM_KvRebuildFleet -- one machine loss, healed: once the client has
 // finished its 200 operations m0 is crashed, and the GroupManager rebuilds
@@ -50,7 +51,8 @@
 // price every rebuild and rebalance decision pays.
 //
 // `bench_rebuild_json` writes the committed BENCH_rebuild.json (release
-// preset, 5 repetitions).
+// preset, 5 repetitions, every row in a process of its own, so a row's
+// cost does not depend on the fleets the rows before it built).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

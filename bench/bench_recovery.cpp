@@ -4,7 +4,8 @@
 // BM_CounterSteadyState -- the counter sample application run to
 // completion, in three configurations:
 //   mode 0: no recovery machinery (the shipping default)
-//   mode 1: supervisor started -- heartbeats + failure detector + sweeps
+//   mode 1: supervisor started -- its failure detector reads the
+//           runtime's liveness every heartbeat interval, plus sweeps
 //   mode 2: same, plus periodic checkpoints through the production
 //           capture path
 // The acceptance bar is mode 1 and mode 2 within 10% of mode 0 on this
@@ -17,7 +18,14 @@
 // dominates; the interval governs how much work the heir must redo, not
 // how fast it appears.
 //
-// BM_DetectorBeat -- the raw per-heartbeat price the detector charges.
+// BM_DetectorTick -- the raw price of one heartbeat tick, per process
+// listed: 192 processes on 8 hosts, in the two cases a tick can take.
+//   walk:0 -- the liveness generation is the one of the detector's last
+//             walk (the steady state): the tick moves one stamp and counts
+//             the beats, whatever the fleet's size;
+//   walk:1 -- the generation moved (a process started, finished or
+//             crashed): the tick walks the list once, merged with the
+//             name-ordered attribution map.
 //
 // Emit machine-readable results with
 //   bench_recovery --benchmark_out=BENCH_recovery.json
@@ -25,7 +33,10 @@
 // (the `bench_recovery_json` CMake target does exactly that).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "app/runtime.hpp"
 #include "bench_common.hpp"
@@ -130,18 +141,30 @@ void BM_TimeToRecover(benchmark::State& state) {
 BENCHMARK(BM_TimeToRecover)->Arg(10)->Arg(25)->Arg(50)->Arg(100)
     ->ArgNames({"ckpt_ms"});
 
-void BM_DetectorBeat(benchmark::State& state) {
-  // The per-heartbeat price: one map probe and a timestamp store. This is
-  // what every module runtime pays per heartbeat_interval_us of virtual
-  // time while a supervisor is running.
+void BM_DetectorTick(benchmark::State& state) {
+  constexpr int kProcesses = 192;
+  const bool walk = state.range(0) != 0;
+  std::vector<std::string> names;
+  std::vector<std::string> hosts;
+  for (int i = 0; i < kProcesses; ++i) {
+    names.push_back("s" + std::to_string(i / 3) + "x" + std::to_string(i % 3));
+    hosts.push_back("m" + std::to_string(i % 8));
+  }
+  std::sort(names.begin(), names.end());  // the runtime lists in name order
+  std::vector<app::LiveProcess> live;
+  for (int i = 0; i < kProcesses; ++i) live.push_back({&names[i], &hosts[i]});
   recover::FailureDetector detector;
+  std::uint64_t generation = 1;
   net::SimTime now = 0;
+  detector.tick(now, generation, live);
   for (auto _ : state) {
-    detector.beat("server@1", ++now);
+    if (walk) ++generation;
+    detector.tick(++now, generation, live);
   }
   benchmark::DoNotOptimize(detector.beats_observed());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kProcesses);
 }
-BENCHMARK(BM_DetectorBeat);
+BENCHMARK(BM_DetectorTick)->Arg(0)->Arg(1)->ArgNames({"walk"});
 
 }  // namespace

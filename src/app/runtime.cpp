@@ -243,13 +243,14 @@ const ModuleImage* Runtime::image_of(const std::string& instance) const {
   return it == images_.end() ? nullptr : &it->second;
 }
 
+std::string_view logical_name(std::string_view instance) noexcept {
+  return instance.substr(0, instance.rfind('@'));
+}
+
 std::string Runtime::fresh_instance_name(const std::string& base) {
-  // Strip a previous @n suffix so repeated reconfigurations of the same
-  // logical module stay readable (compute -> compute@2 -> compute@3).
-  std::string stem = base;
-  if (auto pos = stem.rfind('@'); pos != std::string::npos) {
-    stem = stem.substr(0, pos);
-  }
+  // A generation of the logical module, so repeated reconfigurations stay
+  // readable (compute -> compute@2 -> compute@3).
+  const std::string stem(logical_name(base));
   int n = ++name_counters_[stem];
   std::string name = stem + "@" + std::to_string(n + 1);
   while (bus_.has_module(name) || images_.contains(name)) {
@@ -399,15 +400,24 @@ void Runtime::enable_profiler(profile::Profiler& profiler,
   for (auto& [name, rec] : processes_) {
     attach_tap(name, rec);
   }
-  if (options.interval_us != 0) {
-    std::uint64_t epoch = ++profile_epoch_;
-    sim_.schedule_after(options.interval_us,
-                        [this, epoch] { profile_tick(epoch); });
+  if (options.interval_us == 0) {
+    profile_ticker_.stop();
+    return;
   }
+  const net::SimTime interval = options.interval_us;
+  profile_ticker_.start(sim_, interval, [this, interval] {
+    for (auto& [name, rec] : processes_) {
+      // One-shot: the next instruction the module executes is sampled. A
+      // blocked module contributes nothing this tick -- virtual-time
+      // sampling measures where execution goes, not where modules idle.
+      if (!rec.finished) rec.machine->arm_sample(1);
+    }
+    return interval;
+  });
 }
 
 void Runtime::disable_profiler() noexcept {
-  ++profile_epoch_;  // an in-flight tick event becomes a no-op
+  profile_ticker_.stop();
   profiler_ = nullptr;
   for (auto& [name, rec] : processes_) {
     rec.machine->set_sample_sink(nullptr);
@@ -426,45 +436,15 @@ void Runtime::attach_tap(const std::string& instance, ProcessRec& rec) {
   }
 }
 
-void Runtime::profile_tick(std::uint64_t epoch) {
-  if (epoch != profile_epoch_ || profiler_ == nullptr) return;
-  for (auto& [name, rec] : processes_) {
-    if (rec.finished) continue;
-    // One-shot: the next instruction the module executes is sampled. A
-    // blocked module contributes nothing this tick — virtual-time sampling
-    // measures where execution goes, not where modules idle.
-    rec.machine->arm_sample(1);
-  }
-  sim_.schedule_after(profile_options_.interval_us,
-                      [this, epoch] { profile_tick(epoch); });
-}
-
-void Runtime::enable_heartbeats(net::SimTime interval_us, HeartbeatSink sink) {
-  if (interval_us == 0) {
-    throw BusError("enable_heartbeats: interval must be nonzero");
-  }
-  hb_interval_us_ = interval_us;
-  hb_sink_ = std::move(sink);
-  std::uint64_t epoch = ++hb_epoch_;
-  sim_.schedule_after(hb_interval_us_,
-                      [this, epoch] { heartbeat_tick(epoch); });
-}
-
-void Runtime::heartbeat_tick(std::uint64_t epoch) {
-  // A tick scheduled before disable/re-enable is stale; drop it so exactly
-  // one tick chain is live per enable_heartbeats() call.
-  if (epoch != hb_epoch_ || !hb_sink_) return;
-  if (hb_listed_ != live_generation_) {
-    hb_live_.clear();
+std::span<const LiveProcess> Runtime::live_processes() const {
+  if (live_listed_ != live_generation_) {
+    live_.clear();
     for (const auto& [name, rec] : processes_) {
-      // Crashed and finished processes stop beating.
-      if (!rec.finished) hb_live_.push_back(LiveProcess{&name, &rec.host});
+      if (!rec.finished) live_.push_back(LiveProcess{&name, &rec.host});
     }
-    hb_listed_ = live_generation_;
+    live_listed_ = live_generation_;
   }
-  hb_sink_(sim_.now(), live_generation_, hb_live_);
-  sim_.schedule_after(hb_interval_us_,
-                      [this, epoch] { heartbeat_tick(epoch); });
+  return live_;
 }
 
 void Runtime::check_faults() const {

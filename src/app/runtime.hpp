@@ -16,12 +16,14 @@
 #include <set>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bus/bus.hpp"
 #include "bus/client.hpp"
 #include "cfg/spec.hpp"
 #include "net/sim.hpp"
+#include "net/ticker.hpp"
 #include "obs/metrics.hpp"
 #include "profile/profiler.hpp"
 #include "vm/compiler.hpp"
@@ -36,12 +38,17 @@ struct ModuleImage {
   std::shared_ptr<const vm::CompiledProgram> program;
 };
 
-/// A live process as a heartbeat tick lists it: its instance name and its
-/// host machine.
+/// A live process as Runtime::live_processes() lists it: its instance name
+/// and its host machine.
 struct LiveProcess {
   const std::string* instance;
   const std::string* host;
 };
+
+/// The logical module an instance generation belongs to: the name without
+/// the "@n" suffix Runtime::fresh_instance_name appends ("server@3" ->
+/// "server"); a name without one is its own. A view into `instance`.
+[[nodiscard]] std::string_view logical_name(std::string_view instance) noexcept;
 
 class Runtime {
  public:
@@ -94,8 +101,8 @@ class Runtime {
   void crash_module(const std::string& instance,
                     const std::string& detail = "injected");
   /// Machine failure: kills EVERY live process and native module hosted on
-  /// `machine` at once (heartbeats from all of them stop on the same tick --
-  /// what a machine-level failure detector aggregates). Bus registrations
+  /// `machine` at once (all of them leave live_processes() together -- what
+  /// a machine-level failure detector aggregates). Bus registrations
   /// stay, like crash_module; the machine is remembered as dead
   /// (machine_dead()) so placement layers exclude it. Returns the killed
   /// instances, name order.
@@ -126,7 +133,8 @@ class Runtime {
   [[nodiscard]] vm::Machine* machine_of(const std::string& instance);
   [[nodiscard]] const ModuleImage* image_of(const std::string& instance) const;
 
-  /// Unique instance name derived from a base module name ("compute@2").
+  /// Unique instance name derived from a base module name ("compute@2"):
+  /// a generation of logical_name(base).
   [[nodiscard]] std::string fresh_instance_name(const std::string& base);
 
   // --- whole applications ----------------------------------------------------
@@ -191,10 +199,10 @@ class Runtime {
   /// Attaches the sampling profiler to every module VM (current and future)
   /// and starts whichever sampling drivers the options enable:
   /// `interval_us` arms one sample per live module per virtual-clock tick
-  /// (the cluster-operator view; like heartbeats, the tick chain keeps the
-  /// simulator non-idle, so use predicate- or time-bounded runs), and
-  /// `every_insns` samples each module every K executed instructions (the
-  /// dense, deterministic view opcode studies need). `profiler` must
+  /// (the cluster-operator view; like a failure detector's, the tick chain
+  /// keeps the simulator non-idle, so use predicate- or time-bounded runs),
+  /// and `every_insns` samples each module every K executed instructions
+  /// (the dense, deterministic view opcode studies need). `profiler` must
   /// outlive the runtime or a disable_profiler() call.
   void enable_profiler(profile::Profiler& profiler,
                        profile::ProfileOptions options);
@@ -205,37 +213,19 @@ class Runtime {
     return profiler_ != nullptr;
   }
 
-  // --- heartbeats (surgeon::recover) ----------------------------------------
+  // --- liveness (surgeon::recover) ----------------------------------------
 
-  /// Called once per heartbeat tick with the tick's virtual time, the
-  /// liveness generation and every live (neither finished nor crashed)
-  /// process in name order. The generation moves whenever that set
-  /// changes: a process starts, is dropped, finishes, faults or crashes. A
-  /// process's host is fixed for its life -- start_module reads it from the
-  /// bus registration, and a process leaves only with that registration --
-  /// so an unchanged generation means an unchanged list of (instance,
-  /// host) pairs, and the machine-level detector behind
-  /// replicate::GroupManager can re-beat the machines its last walk found
-  /// without reading the list. The runtime rebuilds the list only when the
-  /// generation has moved; its pointers stay valid until the sink returns.
-  /// recover::Supervisor's per-module detector walks it and ignores hosts.
-  using HeartbeatSink =
-      std::function<void(net::SimTime at, std::uint64_t generation,
-                         std::span<const LiveProcess> live)>;
-
-  /// Starts a periodic virtual-clock heartbeat: every `interval_us` the
-  /// runtime reports the live processes to `sink`. Crashed and finished
-  /// processes stop beating, which is exactly what a timeout detector
-  /// watches for. NOTE: the self-rescheduling tick keeps the simulator
-  /// permanently non-idle, so run_until_idle() will burn its whole rounds
-  /// budget while heartbeats are on -- use predicate- or time-bounded runs,
-  /// or disable_heartbeats() first.
-  void enable_heartbeats(net::SimTime interval_us, HeartbeatSink sink);
-  /// Stops the heartbeat tick (any in-flight tick event becomes a no-op).
-  void disable_heartbeats() noexcept { ++hb_epoch_; hb_sink_ = nullptr; }
-  [[nodiscard]] bool heartbeats_enabled() const noexcept {
-    return hb_sink_ != nullptr;
+  /// Moves whenever the set of live (neither finished nor crashed)
+  /// processes changes: a process starts, is dropped, finishes, faults or
+  /// crashes. A process's host is fixed for its life, so an unchanged
+  /// generation means an unchanged list of (instance, host) pairs.
+  [[nodiscard]] std::uint64_t live_generation() const noexcept {
+    return live_generation_;
   }
+  /// The live processes in name order: what a failure detector reads on
+  /// its heartbeat tick (recover::FailureDetector). Rebuilt only when the
+  /// generation has moved since the last read; valid until it moves.
+  [[nodiscard]] std::span<const LiveProcess> live_processes() const;
 
   /// A module faulted during this run? (instance, message) of the first.
   [[nodiscard]] const std::optional<std::pair<std::string, std::string>>&
@@ -290,8 +280,6 @@ class Runtime {
   /// Ends the instance's process, if any, and clears its crashed mark.
   void drop_process(const std::string& instance);
   void run_slice(ProcessIt it);
-  void heartbeat_tick(std::uint64_t epoch);
-  void profile_tick(std::uint64_t epoch);
   void attach_tap(const std::string& instance, ProcessRec& rec);
   void publish_vm_metrics(ProcessRec& rec, std::uint64_t instructions);
   void crash_now(ProcessIt it, const std::string& detail);
@@ -316,17 +304,13 @@ class Runtime {
   std::uint64_t insn_cost_ns_ = 0;
   std::uint64_t seed_ = 1;
   std::optional<std::pair<std::string, std::string>> first_fault_;
-  HeartbeatSink hb_sink_;
-  net::SimTime hb_interval_us_ = 0;
-  std::uint64_t hb_epoch_ = 0;  // stale tick events compare and bail
-  /// Moves whenever the set of live processes changes (see HeartbeatSink).
   std::uint64_t live_generation_ = 0;
-  /// The live processes in name order, as of generation hb_listed_.
-  std::vector<LiveProcess> hb_live_;
-  std::optional<std::uint64_t> hb_listed_;
+  /// The live processes in name order, as of generation live_listed_.
+  mutable std::vector<LiveProcess> live_;
+  mutable std::optional<std::uint64_t> live_listed_;
   profile::Profiler* profiler_ = nullptr;
   profile::ProfileOptions profile_options_;
-  std::uint64_t profile_epoch_ = 0;  // same staleness guard as heartbeats
+  net::Ticker profile_ticker_;
   obs::MetricsRegistry metrics_;
   trace::Recorder tracer_;
 };

@@ -21,12 +21,12 @@ NativeModule::NativeModule(Bus& bus, ModuleInfo info, net::SimTime tick_us,
   const bool fresh = info.status == "new";
   bus.add_module(std::move(info), this);
   if (fresh) activate();
-  schedule();
+  ticker_.start(bus.simulator(), tick_us, [this] { return tick(); });
 }
 
 NativeModule::~NativeModule() { retire(); }
 
-void NativeModule::stop() noexcept { alive_.reset(); }
+void NativeModule::stop() noexcept { ticker_.stop(); }
 
 void NativeModule::retire() {
   stop();
@@ -53,14 +53,7 @@ void NativeModule::activate() {
   if (!query_.empty()) bus_->set_query_server(query_, this);
 }
 
-void NativeModule::schedule() {
-  bus_->simulator().schedule_after(
-      delay_us_, [this, alive = std::weak_ptr<int>(alive_)] {
-        if (!alive.expired()) tick();
-      });
-}
-
-void NativeModule::tick() {
+std::optional<net::SimTime> NativeModule::tick() {
   if (!active_) {
     // A clone folds nothing before its buffer arrives, and its first fold
     // comes on the tick after the install: a query right after the install
@@ -73,20 +66,20 @@ void NativeModule::tick() {
         faulted_ = true;
         fault_message_ = e.what();
         stop();
-        return;
+        return std::nullopt;
       }
     }
     delay_us_ = tick_us_;
   } else if (client_.take_pending_signal()) {
     (void)client_.encode_state(encode_state());
     passivated_ = true;
-    return;
+    return std::nullopt;
   } else {
+    // A fold that stops the module ends the chain; the delay is unused.
     const bool busy = fold();
-    if (alive_ == nullptr) return;  // the fold stopped the module
     delay_us_ = busy ? tick_us_ : std::min(delay_us_ * 2, max_tick_us_);
   }
-  schedule();
+  return delay_us_;
 }
 
 const std::vector<ser::Value>& state_fields(const ser::StateFrame& frame,

@@ -18,17 +18,18 @@
 //   - the handshake: once signalled, the module divulges encode_state()
 //     exactly once, before folding (what is still queued belongs to the
 //     successor), and never ticks again;
-//   - stop, retire, crash and destruction: after each, a tick already
-//     scheduled fires as a no-op.
+//   - stop, retire, crash and destruction: the chain runs on a net::Ticker,
+//     so after each a tick already scheduled fires as a no-op.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bus/bus.hpp"
 #include "bus/client.hpp"
+#include "net/ticker.hpp"
 #include "serialize/state.hpp"
 
 namespace surgeon::bus {
@@ -100,8 +101,9 @@ class NativeModule {
 
  private:
   void activate();
-  void schedule();
-  void tick();
+  /// One run of the tick chain: the delay to the next, or none once the
+  /// module passivated or faulted.
+  std::optional<net::SimTime> tick();
 
   Bus* bus_;
   Client client_;
@@ -115,8 +117,7 @@ class NativeModule {
   bool crashed_ = false;
   bool faulted_ = false;
   std::string fault_message_;
-  /// Liveness guard: a scheduled tick holds a weak reference to it.
-  std::shared_ptr<int> alive_ = std::make_shared<int>(0);
+  net::Ticker ticker_;
 };
 
 // Checked reads for restore(). A divulged buffer crosses the network, so a

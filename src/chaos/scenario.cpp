@@ -198,7 +198,7 @@ PassResult run_pass(const ScenarioSpec& spec, FaultSource* injector) {
           return;
         }
         pr.delivered.push_back(bytes);
-        if (crash_armed && module.find('@') != std::string::npos &&
+        if (crash_armed && app::logical_name(module) != module &&
             rt.module_running(module)) {
           crash_armed = false;
           rt.crash_module(module, "chaos: crashed on first state delivery");
@@ -233,9 +233,11 @@ PassResult run_pass(const ScenarioSpec& spec, FaultSource* injector) {
     wal.emplace(rt.simulator().durable_store("sparc"));
     options.journal = &*wal;
     if (spec.crash_coordinator_at_step >= 0) {
-      const char* boundary = recover::kCrashBoundaries
-          [static_cast<std::size_t>(spec.crash_coordinator_at_step) %
-           recover::kCrashBoundaries.size()];
+      const std::vector<const char*> boundaries =
+          reconfig::journal_intents(reconfig::replace_shape());
+      const char* boundary =
+          boundaries[static_cast<std::size_t>(spec.crash_coordinator_at_step) %
+                     boundaries.size()];
       options.crash_hook = [boundary](const char* step) {
         if (std::string_view(step) == boundary) {
           throw recover::CoordinatorCrash(
@@ -450,8 +452,7 @@ bool check_consistent_configuration(const ScenarioSpec& spec,
   const std::string target = roles_for(spec.app).target;
   std::vector<std::string> generations;
   for (const std::string& name : pass.final_modules) {
-    std::string stem = name.substr(0, name.rfind('@'));  // npos keeps all
-    if (stem == target) generations.push_back(name);
+    if (app::logical_name(name) == target) generations.push_back(name);
   }
   if (generations.size() != 1) {
     std::string listing;
@@ -876,8 +877,8 @@ ScenarioSpec random_scenario(std::uint64_t seed) {
     // clone-crash trigger is disabled for these -- recovery's roll-forward
     // is single-shot (no retry chain), so a clone killed on state delivery
     // mid-recovery is a different scenario, covered by directed tests.
-    spec.crash_coordinator_at_step = static_cast<int>(
-        rng.next_below(recover::kCrashBoundaries.size()));
+    spec.crash_coordinator_at_step = static_cast<int>(rng.next_below(
+        reconfig::journal_intents(reconfig::replace_shape()).size()));
     spec.crash_clone = false;
   }
   spec.replace_after_outputs = 1 + static_cast<int>(rng.next_below(4));

@@ -65,10 +65,11 @@ struct ScenarioSpec {
   /// onto its retry path (a second clone restores from the same buffer).
   bool crash_clone = false;
   /// Kill the *coordinator* at this Figure 5 step boundary (an index into
-  /// recover::kCrashBoundaries: the seven steps plus the commit record);
-  /// -1 = never. The pass then runs recover::recover_coordinator, exactly
-  /// as a restarted coordinator scanning the WAL would, and the invariants
-  /// verify the application converged (roll-forward or roll-back).
+  /// reconfig::journal_intents(reconfig::replace_shape()): the seven steps
+  /// plus the commit record); -1 = never. The pass then runs
+  /// recover::recover_coordinator, exactly as a restarted coordinator
+  /// scanning the WAL would, and the invariants verify the application
+  /// converged (roll-forward or roll-back).
   int crash_coordinator_at_step = -1;
   /// Observed output lines before the replacement is launched.
   int replace_after_outputs = 3;

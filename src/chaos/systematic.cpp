@@ -5,7 +5,7 @@
 #include <set>
 #include <sstream>
 
-#include "recover/recovery.hpp"
+#include "reconfig/scripts.hpp"
 
 namespace surgeon::chaos {
 
@@ -15,8 +15,10 @@ std::string FaultSchedule::describe() const {
   if (crash_boundary < 0) {
     os << "none";
   } else {
-    os << recover::kCrashBoundaries[static_cast<std::size_t>(crash_boundary) %
-                                    recover::kCrashBoundaries.size()];
+    const std::vector<const char*> boundaries =
+        reconfig::journal_intents(reconfig::replace_shape());
+    os << boundaries[static_cast<std::size_t>(crash_boundary) %
+                     boundaries.size()];
   }
   os << " partition=";
   if (partition_window < 0) {
@@ -127,8 +129,9 @@ SystematicResult explore(const SystematicOptions& options) {
 
   std::vector<int> crash_options{-1};
   if (options.explore_crash_boundaries) {
-    for (int b = 0; b < static_cast<int>(recover::kCrashBoundaries.size());
-         ++b) {
+    const std::size_t boundaries =
+        reconfig::journal_intents(reconfig::replace_shape()).size();
+    for (int b = 0; b < static_cast<int>(boundaries); ++b) {
       crash_options.push_back(b);
     }
   }

@@ -52,7 +52,8 @@ struct MachineKillPoint {
 /// One point in the systematic space. Value-identity is the schedule: two
 /// equal FaultSchedules replay the same execution bit-for-bit.
 struct FaultSchedule {
-  /// Index into recover::kCrashBoundaries; -1 = coordinator survives.
+  /// Index into the replace shape's crash boundaries (its journal intents,
+  /// reconfig::journal_intents); -1 = coordinator survives.
   int crash_boundary = -1;
   /// Index into SystematicOptions::partition_windows; -1 = no partition.
   int partition_window = -1;
@@ -183,7 +184,7 @@ struct SystematicResult {
   bool truncated = false;  // max_schedules hit
   std::vector<ScheduleOutcome> failures;  // every violating schedule
   std::vector<ScheduleOutcome> outcomes;  // all, when record_outcomes
-  /// Crash boundaries (indices into recover::kCrashBoundaries) that were
+  /// Crash boundaries (indices as in FaultSchedule::crash_boundary) that were
   /// enumerated -- coverage proof for the promoted recover_test scenarios.
   std::vector<int> crash_boundaries_covered;
   /// Machine-kill points (indices into machine_kill_points) that were

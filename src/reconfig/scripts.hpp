@@ -273,6 +273,13 @@ inline constexpr std::array<StepRow, 16> kStepTable = {{
 [[nodiscard]] bool row_applies(const StepRow& row, const Shape& shape,
                                bool journaled, std::size_t clone);
 
+/// The intents a journaled run of `shape` writes, in table order: one per
+/// step that runs, on entering it (the begin record and the restore wait
+/// write none), so kStepCommit comes last. They are the boundaries its
+/// coordinator can die at (surgeon::recover, chaos::explore); for
+/// replace_shape() the seven Figure 5 steps and then commit.
+[[nodiscard]] std::vector<const char*> journal_intents(const Shape& shape);
+
 /// The shipped configurations; defaulted arguments only name machines.
 [[nodiscard]] Shape replace_shape(std::string machine = "");
 [[nodiscard]] Shape native_shape(std::string machine = "");

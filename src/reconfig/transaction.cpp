@@ -32,6 +32,25 @@ bool row_applies(const StepRow& row, const Shape& shape, bool journaled,
   }
 }
 
+std::vector<const char*> journal_intents(const Shape& shape) {
+  std::vector<const char*> intents;
+  for (const StepRow& row : kStepTable) {
+    const std::string_view step(row.step);
+    if (step == kStepBegin || step == kStepRestore ||
+        (!intents.empty() && step == intents.back())) {
+      continue;
+    }
+    for (std::size_t i = 0; i < (row.per_clone ? shape.clones.size() : 1);
+         ++i) {
+      if (row_applies(row, shape, /*journaled=*/true, i)) {
+        intents.push_back(row.step);
+        break;
+      }
+    }
+  }
+  return intents;
+}
+
 namespace {
 
 /// mh_edit_bind commands giving `to` every binding of `from`: moved, with

@@ -1,160 +1,152 @@
 #include "recover/detector.hpp"
 
-#include <iterator>
-#include <tuple>
+#include "support/diag.hpp"
 
 namespace surgeon::recover {
 
-std::vector<std::string> FailureDetector::suspects(net::SimTime now) const {
-  std::vector<std::string> out;
-  for (const auto& [module, at] : last_) {
-    if (now > at && now - at > options_.suspicion_timeout_us) {
-      out.push_back(module);
-    }
+void FailureDetector::start(app::Runtime& rt, net::SimTime interval_us) {
+  if (interval_us == 0) {
+    throw support::BusError(
+        "failure detector: heartbeat interval must be nonzero");
   }
-  return out;  // map iteration order is already sorted by name
+  ticker_.start(rt.simulator(), interval_us, [this, &rt, interval_us] {
+    tick(rt.now(), rt.live_generation(), rt.live_processes());
+    return interval_us;
+  });
 }
 
-std::optional<net::SimTime> FailureDetector::last_beat(
-    const std::string& module) const {
-  auto it = last_.find(module);
-  if (it == last_.end()) return std::nullopt;
-  return it->second;
-}
-
-// --- MachineDetector --------------------------------------------------------
-
-const char* machine_health_name(MachineHealth h) noexcept {
-  switch (h) {
-    case MachineHealth::kAlive: return "alive";
-    case MachineHealth::kSuspect: return "suspect";
-    case MachineHealth::kConfirmed: return "confirmed";
-  }
-  return "?";
-}
-
-void MachineDetector::beat(const std::string& module,
-                           const std::string& machine, net::SimTime at) {
-  walked_generation_.reset();
-  (void)attribute(module, machine, at);
-}
-
-void MachineDetector::tick(net::SimTime at, std::uint64_t generation,
+void FailureDetector::tick(net::SimTime at, std::uint64_t generation,
                            std::span<const app::LiveProcess> live) {
+  beats_ += live.size();
   if (walked_generation_ == generation) {
-    beats_ += live.size();
-    for (const MachineMap::iterator rec : walked_machines_) {
-      if (at > rec->second.last) rec->second.last = at;
-    }
+    stamp_ = at;
     return;
   }
-  walked_generation_.reset();
-  walked_machines_.clear();
-  ++walks_;
+  // What the latest walk listed beat last at stamp_: settle that before
+  // this walk takes over.
+  const auto settle = [walk = walk_, stamp = stamp_](Beat& beat) {
+    if (beat.walk == walk) beat.last = stamp;
+  };
+  for (auto& [name, rec] : machines_) settle(rec.beat);
+  ++walk_;
+  stamp_ = at;
+  auto module = modules_.begin();
   for (const app::LiveProcess& process : live) {
-    const MachineMap::iterator rec =
-        attribute(*process.instance, *process.host, at);
-    if (rec->second.walk != walks_) {
-      rec->second.walk = walks_;
-      walked_machines_.push_back(rec);
+    for (; module != modules_.end() && module->first < *process.instance;
+         ++module) {
+      settle(module->second.beat);
     }
+    if (module == modules_.end() || module->first != *process.instance) {
+      module = modules_.emplace_hint(
+          module, *process.instance, ModuleRec{{}, attach(*process.host)});
+    } else if (module->second.machine->first != *process.host) {
+      // A module beating on another machine must not leave a stale beat
+      // behind on its old host, keeping a dead machine "alive".
+      detach(module->second.machine);
+      module->second.machine = attach(*process.host);
+    }
+    module->second.beat = module->second.machine->second.beat = {at, walk_};
+    ++module;
   }
+  for (; module != modules_.end(); ++module) settle(module->second.beat);
   walked_generation_ = generation;
 }
 
-MachineDetector::MachineMap::iterator MachineDetector::attribute(
-    const std::string& module, const std::string& machine, net::SimTime at) {
-  ++beats_;
-  ModuleMap::iterator attributed = hint_;
-  if (attributed == module_machine_.end() || attributed->first != module ||
-      attributed->second->first != machine) {
-    bool fresh = false;
-    std::tie(attributed, fresh) = module_machine_.try_emplace(module);
-    if (!fresh && attributed->second->first != machine) {
-      // A module migrating between machines (move_module) must not leave a
-      // stale beat behind on its old host keeping a dead machine "alive".
-      detach(attributed->second, module);
-      fresh = true;
-    }
-    if (fresh) {
-      attributed->second = machines_.try_emplace(machine).first;
-      attributed->second->second.modules.insert(module);
-    }
-  }
-  const MachineMap::iterator rec = attributed->second;
-  if (at > rec->second.last) rec->second.last = at;
-  hint_ = std::next(attributed);
-  if (hint_ == module_machine_.end()) hint_ = module_machine_.begin();
+FailureDetector::MachineMap::iterator FailureDetector::attach(
+    const std::string& machine) {
+  const MachineMap::iterator rec = machines_.try_emplace(machine).first;
+  ++rec->second.modules;
   return rec;
 }
 
-void MachineDetector::detach(MachineMap::iterator machine,
-                             const std::string& module) {
-  machine->second.modules.erase(module);
-  if (machine->second.modules.empty()) machines_.erase(machine);
+void FailureDetector::detach(MachineMap::iterator machine) {
+  if (--machine->second.modules == 0) machines_.erase(machine);
 }
 
-void MachineDetector::forget_module(const std::string& module) {
-  auto attributed = module_machine_.find(module);
-  if (attributed == module_machine_.end()) return;
+void FailureDetector::forget_module(const std::string& module) {
+  auto rec = modules_.find(module);
+  if (rec == modules_.end()) return;
   walked_generation_.reset();
-  detach(attributed->second, module);
-  module_machine_.erase(attributed);
-  hint_ = module_machine_.end();
+  detach(rec->second.machine);
+  modules_.erase(rec);
 }
 
-void MachineDetector::forget_machine(const std::string& machine) {
+void FailureDetector::forget_machine(const std::string& machine) {
   auto rec = machines_.find(machine);
   if (rec == machines_.end()) return;
   walked_generation_.reset();
-  for (const std::string& module : rec->second.modules) {
-    module_machine_.erase(module);
-  }
+  std::erase_if(modules_, [rec](const auto& module) {
+    return module.second.machine == rec;
+  });
   machines_.erase(rec);
-  hint_ = module_machine_.end();
 }
 
-MachineHealth MachineDetector::health(const std::string& machine,
-                                      net::SimTime now) const {
-  auto rec = machines_.find(machine);
-  if (rec == machines_.end()) return MachineHealth::kAlive;  // not tracked
-  if (now <= rec->second.last) return MachineHealth::kAlive;
-  const net::SimTime silence = now - rec->second.last;
-  if (silence > options_.confirm_timeout_us) return MachineHealth::kConfirmed;
-  if (silence > options_.suspicion_timeout_us) return MachineHealth::kSuspect;
-  return MachineHealth::kAlive;
-}
-
-std::vector<std::string> MachineDetector::suspects(net::SimTime now) const {
+std::vector<std::string> FailureDetector::silent_modules(
+    net::SimTime now) const {
   std::vector<std::string> out;
-  for (const auto& [machine, rec] : machines_) {
-    if (health(machine, now) == MachineHealth::kSuspect) out.push_back(machine);
-  }
-  return out;
-}
-
-std::vector<std::string> MachineDetector::confirmed(net::SimTime now) const {
-  std::vector<std::string> out;
-  for (const auto& [machine, rec] : machines_) {
-    if (health(machine, now) == MachineHealth::kConfirmed) {
-      out.push_back(machine);
+  for (const auto& [module, rec] : modules_) {
+    if (silent(rec.beat, now, options_.suspicion_timeout_us)) {
+      out.push_back(module);
     }
   }
   return out;
 }
 
-std::vector<std::string> MachineDetector::modules_on(
-    const std::string& machine) const {
-  auto rec = machines_.find(machine);
-  if (rec == machines_.end()) return {};
-  return {rec->second.modules.begin(), rec->second.modules.end()};
+std::optional<net::SimTime> FailureDetector::module_last_beat(
+    const std::string& module) const {
+  auto rec = modules_.find(module);
+  if (rec == modules_.end()) return std::nullopt;
+  return last_of(rec->second.beat);
 }
 
-std::optional<net::SimTime> MachineDetector::last_beat(
+MachineHealth FailureDetector::health_of(const Beat& beat,
+                                         net::SimTime now) const noexcept {
+  if (silent(beat, now, options_.confirm_timeout_us)) {
+    return MachineHealth::kConfirmed;
+  }
+  return silent(beat, now, options_.suspicion_timeout_us)
+             ? MachineHealth::kSuspect
+             : MachineHealth::kAlive;
+}
+
+MachineHealth FailureDetector::health(const std::string& machine,
+                                      net::SimTime now) const {
+  auto rec = machines_.find(machine);
+  return rec == machines_.end() ? MachineHealth::kAlive
+                                : health_of(rec->second.beat, now);
+}
+
+std::vector<std::string> FailureDetector::machines_in(MachineHealth h,
+                                                      net::SimTime now) const {
+  std::vector<std::string> out;
+  for (const auto& [machine, rec] : machines_) {
+    if (health_of(rec.beat, now) == h) out.push_back(machine);
+  }
+  return out;
+}
+
+std::vector<std::string> FailureDetector::modules_on(
+    const std::string& machine) const {
+  std::vector<std::string> out;
+  auto host = machines_.find(machine);
+  if (host == machines_.end()) return out;
+  for (const auto& [module, rec] : modules_) {
+    if (rec.machine == host) out.push_back(module);
+  }
+  return out;
+}
+
+std::optional<net::SimTime> FailureDetector::machine_last_beat(
     const std::string& machine) const {
   auto rec = machines_.find(machine);
   if (rec == machines_.end()) return std::nullopt;
-  return rec->second.last;
+  return last_of(rec->second.beat);
+}
+
+std::vector<std::string> FailureDetector::machine_names() const {
+  std::vector<std::string> out;
+  for (const auto& [machine, rec] : machines_) out.push_back(machine);
+  return out;
 }
 
 }  // namespace surgeon::recover

@@ -45,9 +45,9 @@ RecoveryReport recover_coordinator(app::Runtime& rt, Wal& wal,
   // (server@2 crashed -> server@3 took over), so if a newer generation of
   // the logical module is serving, the replacement effectively completed.
   if (!bus.has_module(old_name) && !bus.has_module(new_name)) {
-    const std::string stem = old_name.substr(0, old_name.rfind('@'));
+    const std::string_view stem = app::logical_name(old_name);
     for (const std::string& name : bus.module_names()) {
-      if (name.substr(0, name.rfind('@')) == stem) {
+      if (app::logical_name(name) == stem) {
         report.new_instance = name;
         report.restored = clone_restored(rt, name);
         report.rolled_forward = true;

@@ -18,7 +18,6 @@
 // which boundary the crash hit, and running it twice is harmless.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 
@@ -26,27 +25,14 @@
 
 namespace surgeon::recover {
 
-/// Thrown by a crash hook to model the coordinator process dying at a
-/// Figure 5 step boundary (the chaos harness catches it and hands the
-/// application to recover_coordinator, like a restarted coordinator would).
+/// Thrown by a crash hook to model the coordinator process dying at one of
+/// its journal boundaries (reconfig::journal_intents; the chaos harness
+/// catches it and hands the application to recover_coordinator, like a
+/// restarted coordinator would).
 class CoordinatorCrash : public support::Error {
  public:
   using Error::Error;
 };
-
-/// Every boundary a replacement script can crash at: the seven Figure 5
-/// steps (the hook fires just before each executes) plus the commit record.
-/// Indices 0..3 precede the divulge watershed (recovery rolls back), 4..7
-/// follow it (recovery rolls forward). The systematic explorer
-/// (chaos::explore) enumerates its crash dimension from this array, and
-/// verify's recovery plans model both directions -- extend the array and
-/// both pick the new boundary up; reordering it changes pinned schedule
-/// identities.
-inline constexpr std::array<const char*, 8> kCrashBoundaries = {
-    reconfig::kStepObjCap,  reconfig::kStepCloneRegister,
-    reconfig::kStepBindEditPrep, reconfig::kStepObjstateMove,
-    reconfig::kStepRebind,  reconfig::kStepAdd,
-    reconfig::kStepDel,     reconfig::kStepCommit};
 
 struct RecoveryOptions {
   /// Scheduling budget for each wait inside recovery.

@@ -2,43 +2,32 @@
 
 #include "obs/metrics.hpp"
 #include "reconfig/scripts.hpp"
+#include "support/diag.hpp"
+#include "support/scope.hpp"
 #include "trace/recorder.hpp"
 
 namespace surgeon::recover {
-
-namespace {
-
-/// Flags re-entrancy for the lifetime of a control operation: detector
-/// sweeps and checkpoint ticks that fire while the supervisor is already
-/// mid-operation (both pump the scheduler) skip their work.
-struct ControlScope {
-  explicit ControlScope(bool& flag) : flag_(flag) { flag_ = true; }
-  ~ControlScope() { flag_ = false; }
-  ControlScope(const ControlScope&) = delete;
-  ControlScope& operator=(const ControlScope&) = delete;
-
- private:
-  bool& flag_;
-};
-
-}  // namespace
 
 Supervisor::Supervisor(app::Runtime& rt, net::DurableStore& store,
                        SupervisorOptions options)
     : rt_(&rt),
       store_(&store),
       options_(options),
-      detector_(DetectorOptions{options.suspicion_timeout_us}) {}
-
-std::string Supervisor::logical_name(const std::string& instance) {
-  auto pos = instance.rfind('@');
-  return pos == std::string::npos ? instance : instance.substr(0, pos);
+      detector_(DetectorOptions{options.suspicion_timeout_us}) {
+  if (options.heartbeat_interval_us == 0) {
+    throw support::BusError(
+        "SupervisorOptions::heartbeat_interval_us must be nonzero");
+  }
+  if (options.sweep_interval_us == 0) {
+    throw support::BusError(
+        "SupervisorOptions::sweep_interval_us must be nonzero");
+  }
 }
 
 void Supervisor::watch(const std::string& instance,
                        const std::string& spare_machine) {
   Watched w;
-  w.logical = logical_name(instance);
+  w.logical = app::logical_name(instance);
   w.current = instance;
   w.spare = spare_machine;
   watched_[w.logical] = std::move(w);
@@ -50,100 +39,87 @@ std::string Supervisor::current_instance(const std::string& logical) const {
 }
 
 Supervisor::Watched* Supervisor::find(const std::string& name) {
-  auto it = watched_.find(logical_name(name));
+  auto it = watched_.find(app::logical_name(name));
   return it == watched_.end() ? nullptr : &it->second;
 }
 
 void Supervisor::start() {
-  if (running_) return;
-  running_ = true;
-  std::uint64_t epoch = ++epoch_;
-  rt_->enable_heartbeats(
-      options_.heartbeat_interval_us,
-      [this](net::SimTime at, std::uint64_t /*generation*/,
-             std::span<const app::LiveProcess> live) {
-        for (const app::LiveProcess& process : live) {
-          detector_.beat(*process.instance, at);
-        }
-      });
-  rt_->simulator().schedule_after(options_.sweep_interval_us,
-                                  [this, epoch] { sweep(epoch); });
-  if (options_.checkpoint_interval_us > 0) {
-    rt_->simulator().schedule_after(options_.checkpoint_interval_us,
-                                    [this, epoch] { checkpoint_tick(epoch); });
+  if (running()) return;
+  detector_.start(*rt_, options_.heartbeat_interval_us);
+  sweep_ticker_.start(rt_->simulator(), options_.sweep_interval_us, [this] {
+    sweep();
+    return options_.sweep_interval_us;
+  });
+  const net::SimTime checkpoint_us = options_.checkpoint_interval_us;
+  if (checkpoint_us > 0) {
+    checkpoint_ticker_.start(rt_->simulator(), checkpoint_us, [this] {
+      checkpoint_tick();
+      return options_.checkpoint_interval_us;
+    });
   }
 }
 
-void Supervisor::stop() {
-  if (!running_) return;
-  running_ = false;
-  ++epoch_;
-  rt_->disable_heartbeats();
+void Supervisor::stop() noexcept {
+  detector_.stop();
+  sweep_ticker_.stop();
+  checkpoint_ticker_.stop();
 }
 
-void Supervisor::sweep(std::uint64_t epoch) {
-  if (epoch != epoch_) return;
-  if (!in_control_) {
-    for (const std::string& suspect : detector_.suspects(rt_->now())) {
-      if (rt_->module_crashed(suspect)) {
-        ++suspects_seen_;
-        if (rt_->metrics().enabled()) {
-          rt_->metrics().counter("surgeon_recover_suspects_total").inc();
-        }
-        if (rt_->tracer().enabled() && rt_->bus().has_module(suspect)) {
-          rt_->tracer().record(trace::EventKind::kSuspect,
-                               rt_->bus().module_info(suspect).machine,
-                               suspect, "heartbeat timeout");
-        }
-        if (find(suspect) != nullptr) {
-          try {
-            (void)restore_from_checkpoint(suspect);
-          } catch (const reconfig::ScriptError&) {
-            // No checkpoint yet (crashed before the first one was taken):
-            // nothing to restore from. Stop tracking so the sweep does not
-            // spin on the corpse; the registration stays for post-mortem.
-            detector_.forget(suspect);
-            if (rt_->metrics().enabled()) {
-              rt_->metrics()
-                  .counter("surgeon_recover_restore_failures_total")
-                  .inc();
-            }
-          }
-        } else {
-          detector_.forget(suspect);  // not ours to restore
-        }
-      } else if (!rt_->module_running(suspect)) {
-        // Finished normally, or replaced/removed: silence is expected.
-        detector_.forget(suspect);
+void Supervisor::sweep() {
+  if (in_control_) return;
+  for (const std::string& suspect : detector_.silent_modules(rt_->now())) {
+    if (rt_->module_crashed(suspect)) {
+      ++suspects_seen_;
+      if (rt_->metrics().enabled()) {
+        rt_->metrics().counter("surgeon_recover_suspects_total").inc();
       }
-    }
-  }
-  rt_->simulator().schedule_after(options_.sweep_interval_us,
-                                  [this, epoch] { sweep(epoch); });
-}
-
-void Supervisor::checkpoint_tick(std::uint64_t epoch) {
-  if (epoch != epoch_) return;
-  if (!in_control_) {
-    for (auto& [logical, w] : watched_) {
-      if (rt_->module_running(w.current)) {
+      if (rt_->tracer().enabled() && rt_->bus().has_module(suspect)) {
+        rt_->tracer().record(trace::EventKind::kSuspect,
+                             rt_->bus().module_info(suspect).machine,
+                             suspect, "heartbeat timeout");
+      }
+      if (find(suspect) != nullptr) {
         try {
-          (void)checkpoint_now(w.current);
+          (void)restore_from_checkpoint(suspect);
         } catch (const reconfig::ScriptError&) {
-          // A background checkpoint can lose the race with application
-          // shutdown (the module never reaches another reconfiguration
-          // point). The previously persisted checkpoint stays valid.
+          // No checkpoint yet (crashed before the first one was taken):
+          // nothing to restore from. Stop tracking so the sweep does not
+          // spin on the corpse; the registration stays for post-mortem.
+          detector_.forget_module(suspect);
           if (rt_->metrics().enabled()) {
             rt_->metrics()
-                .counter("surgeon_recover_checkpoint_failures_total")
+                .counter("surgeon_recover_restore_failures_total")
                 .inc();
           }
         }
+      } else {
+        detector_.forget_module(suspect);  // not ours to restore
+      }
+    } else if (!rt_->module_running(suspect)) {
+      // Finished normally, or replaced/removed: silence is expected.
+      detector_.forget_module(suspect);
+    }
+  }
+}
+
+void Supervisor::checkpoint_tick() {
+  if (in_control_) return;
+  for (auto& [logical, w] : watched_) {
+    if (rt_->module_running(w.current)) {
+      try {
+        (void)checkpoint_now(w.current);
+      } catch (const reconfig::ScriptError&) {
+        // A background checkpoint can lose the race with application
+        // shutdown (the module never reaches another reconfiguration
+        // point). The previously persisted checkpoint stays valid.
+        if (rt_->metrics().enabled()) {
+          rt_->metrics()
+              .counter("surgeon_recover_checkpoint_failures_total")
+              .inc();
+        }
       }
     }
   }
-  rt_->simulator().schedule_after(options_.checkpoint_interval_us,
-                                  [this, epoch] { checkpoint_tick(epoch); });
 }
 
 reconfig::ReplaceReport Supervisor::checkpoint_now(const std::string& name) {
@@ -152,7 +128,7 @@ reconfig::ReplaceReport Supervisor::checkpoint_now(const std::string& name) {
     throw reconfig::ScriptError("checkpoint_now: '" + name +
                                 "' is not watched");
   }
-  ControlScope scope(in_control_);
+  support::FlagScope control(in_control_);
   reconfig::ReplaceOptions opts;
   opts.max_rounds = options_.max_rounds;
   opts.drain_us = options_.drain_us;
@@ -164,7 +140,7 @@ reconfig::ReplaceReport Supervisor::checkpoint_now(const std::string& name) {
   const std::string old_current = w->current;
   reconfig::ReplaceReport report =
       reconfig::replace_module(*rt_, old_current, opts);
-  detector_.forget(old_current);
+  detector_.forget_module(old_current);
   w->current = report.new_instance;
   ++checkpoints_;
   if (rt_->metrics().enabled()) {
@@ -194,7 +170,7 @@ std::string Supervisor::restore_from_checkpoint(const std::string& instance) {
   }
   bus::Bus& bus = rt_->bus();
   const std::string crashed = w->current;  // copied: w->current changes below
-  ControlScope scope(in_control_);
+  support::FlagScope control(in_control_);
   const std::string target =
       w->spare.empty() ? bus.module_info(crashed).machine : w->spare;
   // The heir inherits the dead instance's bindings and queued traffic and
@@ -213,7 +189,7 @@ std::string Supervisor::restore_from_checkpoint(const std::string& instance) {
       .state = *ckpt};
   const std::string heir =
       reconfig::run_transaction(*rt_, crashed, shape, opts).new_instance;
-  detector_.forget(crashed);
+  detector_.forget_module(crashed);
   w->current = heir;
   ++restores_;
   if (rt_->metrics().enabled()) {

@@ -1,7 +1,7 @@
 // The supervisor: heartbeat-driven failure recovery for module processes.
 //
-// One Supervisor runs alongside the coordinator. It wires the runtime's
-// virtual-clock heartbeats into a FailureDetector, sweeps the detector
+// One Supervisor runs alongside the coordinator. Its FailureDetector reads
+// the runtime's liveness on the virtual clock, it sweeps the detector
 // periodically, and when a *watched* module stops beating because its
 // process crashed, restores it from its last checkpoint -- on a designated
 // spare machine if one was given (migration-on-failure), else in place.
@@ -15,23 +15,25 @@
 // replacement does, and the supervisor tracks the current name per logical
 // module.
 //
-// Scheduling caveat: the heartbeat tick and the sweep/checkpoint events
-// reschedule themselves, so the simulator is never idle while a supervisor
-// is running -- use predicate- or time-bounded runs (run_until/run_for),
-// and stop() the supervisor before any run_until_idle().
+// Scheduling caveat: the detector's read and the sweep/checkpoint ticks are
+// net::Tickers, so the simulator is never idle while a supervisor runs --
+// use predicate- or time-bounded runs (run_until/run_for), and stop() it
+// (or destroy it: pending ticks become no-ops) before run_until_idle().
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 
+#include "net/ticker.hpp"
 #include "recover/detector.hpp"
 #include "recover/wal.hpp"
 
 namespace surgeon::recover {
 
 struct SupervisorOptions {
-  /// Runtime heartbeat period.
+  /// How often the detector reads the runtime's liveness.
   net::SimTime heartbeat_interval_us = 10'000;
   /// Silence after which a module is suspected (several heartbeats).
   net::SimTime suspicion_timeout_us = 50'000;
@@ -49,10 +51,10 @@ struct SupervisorOptions {
 class Supervisor {
  public:
   /// `store` is the durable store holding checkpoints (normally the
-  /// coordinator machine's).
+  /// coordinator machine's). Throws BusError, before anything is
+  /// scheduled, for a zero heartbeat or sweep interval.
   Supervisor(app::Runtime& rt, net::DurableStore& store,
              SupervisorOptions options = {});
-  ~Supervisor() { stop(); }
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
 
@@ -61,12 +63,14 @@ class Supervisor {
   /// given may be any instance generation; tracking follows renames.
   void watch(const std::string& instance,
              const std::string& spare_machine = "");
-  /// Starts heartbeats, the detector sweep, and (if configured) the
+  /// Starts the detector, the detector sweep, and (if configured) the
   /// periodic checkpoint tick.
   void start();
   /// Stops all of it; pending tick events become no-ops.
-  void stop();
-  [[nodiscard]] bool running() const noexcept { return running_; }
+  void stop() noexcept;
+  [[nodiscard]] bool running() const noexcept {
+    return sweep_ticker_.running();
+  }
 
   /// Takes a checkpoint of a watched module now (accepts the logical name
   /// or any instance generation). Runs a full replacement-in-place; the
@@ -76,9 +80,6 @@ class Supervisor {
   /// spare machine; returns the heir's instance name. Throws ScriptError
   /// when no checkpoint exists or the instance is not watched.
   std::string restore_from_checkpoint(const std::string& instance);
-
-  /// Strips the @n generation suffix: "server@3" -> "server".
-  [[nodiscard]] static std::string logical_name(const std::string& instance);
 
   /// Current instance generation of a watched logical module ("" unknown).
   [[nodiscard]] std::string current_instance(const std::string& logical) const;
@@ -106,16 +107,16 @@ class Supervisor {
     return "ckpt/" + logical;
   }
   [[nodiscard]] Watched* find(const std::string& name);
-  void sweep(std::uint64_t epoch);
-  void checkpoint_tick(std::uint64_t epoch);
+  void sweep();
+  void checkpoint_tick();
 
   app::Runtime* rt_;
   net::DurableStore* store_;
   SupervisorOptions options_;
   FailureDetector detector_;
-  std::map<std::string, Watched> watched_;  // keyed by logical name
-  std::uint64_t epoch_ = 0;  // stale self-rescheduled events bail
-  bool running_ = false;
+  std::map<std::string, Watched, std::less<>> watched_;  // by logical name
+  net::Ticker sweep_ticker_;
+  net::Ticker checkpoint_ticker_;
   bool in_control_ = false;  // re-entrancy: checkpoint/restore pump the sim
   std::uint64_t checkpoints_ = 0;
   std::uint64_t restores_ = 0;

@@ -397,21 +397,6 @@ void KvService::launch(int client_ops) {
                   BindingEnd{router_->module_name(), "cli"});
 }
 
-std::size_t KvService::group_of_member(const std::string& instance) const {
-  std::string stem = instance;
-  if (auto pos = stem.rfind('@'); pos != std::string::npos) {
-    stem = stem.substr(0, pos);
-  }
-  if (stem.size() < 3 || stem[0] != 's') {
-    throw support::BusError("kv: not a shard member name: '" + instance + "'");
-  }
-  const auto x = stem.find('x');
-  if (x == std::string::npos) {
-    throw support::BusError("kv: not a shard member name: '" + instance + "'");
-  }
-  return static_cast<std::size_t>(std::stoul(stem.substr(1, x - 1)));
-}
-
 bool KvService::run_to_completion(net::SimTime budget_us,
                                   std::uint64_t max_rounds) {
   const net::SimTime deadline = rt_->now() + budget_us;

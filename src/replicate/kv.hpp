@@ -235,7 +235,6 @@ class KvService {
   [[nodiscard]] HashRing& ring() noexcept { return ring_; }
   [[nodiscard]] KvRouter& router() { return *router_; }
   [[nodiscard]] KvClient& client() { return *client_; }
-  [[nodiscard]] std::size_t group_of_member(const std::string& instance) const;
   /// Initial placement, group-major (before any rebuild).
   [[nodiscard]] const std::vector<std::vector<std::string>>& placements()
       const noexcept {

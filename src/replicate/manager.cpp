@@ -3,62 +3,46 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
+#include "support/diag.hpp"
+#include "support/scope.hpp"
 
 namespace surgeon::replicate {
-
-namespace {
-
-/// Control re-entrancy flag holder (recover::Supervisor's ControlScope):
-/// script waits pump the scheduler, which fires sweep ticks, which must
-/// not start a second repair under the first.
-struct ControlScope {
-  explicit ControlScope(bool& flag) : flag_(flag) { flag_ = true; }
-  ~ControlScope() { flag_ = false; }
-  ControlScope(const ControlScope&) = delete;
-  ControlScope& operator=(const ControlScope&) = delete;
-
- private:
-  bool& flag_;
-};
-
-}  // namespace
 
 GroupManager::GroupManager(KvService& service, ManagerOptions options)
     : service_(&service),
       rt_(&service.runtime()),
       options_(std::move(options)),
-      detector_(options_.detector) {}
+      detector_(options_.detector) {
+  if (options_.heartbeat_interval_us == 0) {
+    throw support::BusError(
+        "ManagerOptions::heartbeat_interval_us must be nonzero");
+  }
+  if (options_.sweep_interval_us == 0) {
+    throw support::BusError(
+        "ManagerOptions::sweep_interval_us must be nonzero");
+  }
+}
 
 int GroupManager::member_role(const std::string& instance) {
-  std::string stem = instance;
-  if (auto pos = stem.rfind('@'); pos != std::string::npos) {
-    stem = stem.substr(0, pos);
-  }
+  const std::string_view stem = app::logical_name(instance);
   const auto x = stem.find('x');
-  if (x == std::string::npos || x + 1 >= stem.size()) return 2;
+  if (x == std::string_view::npos || x + 1 >= stem.size()) return 2;
   return stem.substr(x + 1) == "0" ? 1 : 2;
 }
 
 void GroupManager::start() {
-  if (running_) return;
-  running_ = true;
-  const std::uint64_t epoch = ++epoch_;
-  rt_->enable_heartbeats(
-      options_.heartbeat_interval_us,
-      [this](net::SimTime at, std::uint64_t generation,
-             std::span<const app::LiveProcess> live) {
-        detector_.tick(at, generation, live);
-      });
-  rt_->simulator().schedule_after(options_.sweep_interval_us,
-                                  [this, epoch] { sweep(epoch); });
+  if (running()) return;
+  detector_.start(*rt_, options_.heartbeat_interval_us);
+  sweep_ticker_.start(rt_->simulator(), options_.sweep_interval_us, [this] {
+    sweep();
+    return options_.sweep_interval_us;
+  });
   publish_roles();
 }
 
-void GroupManager::stop() {
-  if (!running_) return;
-  running_ = false;
-  ++epoch_;
-  rt_->disable_heartbeats();
+void GroupManager::stop() noexcept {
+  detector_.stop();
+  sweep_ticker_.stop();
 }
 
 void GroupManager::prune_departed() {
@@ -78,16 +62,13 @@ void GroupManager::prune_departed() {
   }
 }
 
-void GroupManager::sweep(std::uint64_t epoch) {
-  if (epoch != epoch_) return;
-  if (!in_control_) {
-    prune_departed();
-    for (const std::string& machine : detector_.confirmed(rt_->now())) {
-      (void)rebuild_machine(machine);
-    }
+void GroupManager::sweep() {
+  if (in_control_) return;
+  prune_departed();
+  for (const std::string& machine :
+       detector_.machines_in(recover::MachineHealth::kConfirmed, rt_->now())) {
+    (void)rebuild_machine(machine);
   }
-  rt_->simulator().schedule_after(options_.sweep_interval_us,
-                                  [this, epoch] { sweep(epoch); });
 }
 
 bool GroupManager::member_dead(const std::string& member) const {
@@ -125,7 +106,7 @@ std::string GroupManager::pick_target(
 }
 
 bool GroupManager::rebuild_machine(const std::string& machine) {
-  ControlScope scope(in_control_);
+  support::FlagScope control(in_control_);
   if (service_->ring().has_machine(machine)) {
     service_->ring().remove_machine(machine);
     const std::string spare = pick_spare();
@@ -203,7 +184,7 @@ bool GroupManager::rebuild_machine(const std::string& machine) {
 }
 
 std::size_t GroupManager::rebalance(const std::string& new_machine) {
-  ControlScope scope(in_control_);
+  support::FlagScope control(in_control_);
   if (!service_->ring().has_machine(new_machine)) {
     service_->ring().add_machine(new_machine);
   }

@@ -1,14 +1,15 @@
 // GroupManager: the control loop that keeps replica groups redundant.
 //
-// Wiring mirrors recover::Supervisor -- runtime heartbeat ticks feed the
-// detector, an epoch-guarded sweep tick acts on verdicts, and a control
-// re-entrancy flag keeps nested ticks (every script wait pumps the
-// scheduler) from starting overlapping repairs. The difference is the unit
-// of failure: the MachineDetector aggregates beats per HOST, and a
-// confirmed-dead machine triggers a pull rebuild of every group that lost
-// a member on it, placed by the consistent-hash ring (dead machine out,
-// spare in). A machine that joins can likewise trigger a rebalance, which
-// moves members whose hosts fell out of their group's placement.
+// Wiring mirrors recover::Supervisor -- a FailureDetector reads the
+// runtime's liveness on its own ticker, a sweep ticker acts on verdicts,
+// and a control re-entrancy flag keeps nested ticks (every script wait
+// pumps the scheduler) from starting overlapping repairs. The difference
+// is the unit of failure: the manager reads the detector's per-HOST
+// verdicts, and a confirmed-dead machine triggers a pull rebuild of every
+// group that lost a member on it, placed by the consistent-hash ring (dead
+// machine out, spare in). A machine that joins can likewise trigger a
+// rebalance, which moves members whose hosts fell out of their group's
+// placement.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "net/ticker.hpp"
 #include "recover/detector.hpp"
 #include "replicate/kv.hpp"
 #include "replicate/rebuild.hpp"
@@ -27,7 +29,7 @@ namespace surgeon::replicate {
 struct ManagerOptions {
   net::SimTime heartbeat_interval_us = 10'000;
   net::SimTime sweep_interval_us = 25'000;
-  recover::MachineDetectorOptions detector;
+  recover::DetectorOptions detector;
   /// Machines eligible to replace a dead one, tried in order.
   std::vector<std::string> spares;
   /// Forwarded to every rebuild_group invocation.
@@ -48,15 +50,16 @@ struct ManagerStats {
 
 class GroupManager {
  public:
+  /// Throws BusError, before anything is scheduled, for a zero heartbeat
+  /// or sweep interval (its tick would never leave the microsecond).
   GroupManager(KvService& service, ManagerOptions options);
   GroupManager(const GroupManager&) = delete;
   GroupManager& operator=(const GroupManager&) = delete;
-  ~GroupManager() { stop(); }
 
-  /// Starts heartbeats into the machine detector and the sweep tick.
+  /// Starts the detector and the sweep tick.
   void start();
-  /// Stops ticking; heartbeats are disabled.
-  void stop();
+  /// Stops both; pending ticks become no-ops (so does destruction).
+  void stop() noexcept;
 
   /// Rebuilds every group that lost a member on `machine` (dead machine
   /// leaves the ring, first eligible spare joins). Returns true when every
@@ -73,7 +76,7 @@ class GroupManager {
   /// for every current member; mh_top renders it as the ROLE column.
   void publish_roles();
 
-  [[nodiscard]] recover::MachineDetector& detector() noexcept {
+  [[nodiscard]] recover::FailureDetector& detector() noexcept {
     return detector_;
   }
   [[nodiscard]] const ManagerStats& stats() const noexcept { return stats_; }
@@ -81,12 +84,14 @@ class GroupManager {
       const noexcept {
     return rebuilds_;
   }
-  [[nodiscard]] bool running() const noexcept { return running_; }
+  [[nodiscard]] bool running() const noexcept {
+    return sweep_ticker_.running();
+  }
   /// Role of a member by name: 1 primary (slot 0 of its group), 2 follower.
   [[nodiscard]] static int member_role(const std::string& instance);
 
  private:
-  void sweep(std::uint64_t epoch);
+  void sweep();
   void prune_departed();
   [[nodiscard]] std::string pick_spare() const;
   [[nodiscard]] std::string pick_target(std::size_t group,
@@ -97,13 +102,12 @@ class GroupManager {
   KvService* service_;
   app::Runtime* rt_;
   ManagerOptions options_;
-  recover::MachineDetector detector_;
+  recover::FailureDetector detector_;
   ManagerStats stats_;
   std::vector<reconfig::ReplaceReport> rebuilds_;
   std::set<std::string> lost_groups_;  // counted once, skipped thereafter
-  bool running_ = false;
+  net::Ticker sweep_ticker_;
   bool in_control_ = false;
-  std::uint64_t epoch_ = 0;
   /// Bus topology generation the last prune_departed pass ran at.
   std::optional<std::uint64_t> pruned_generation_;
 };

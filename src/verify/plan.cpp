@@ -382,8 +382,9 @@ Prim prim_of(Action action, bool replica, Binding bindings) {
 /// `shape`'s rows of the engine's step table, in run order. A row reads
 /// "step", or "step.action" when its step runs several table rows; a second
 /// clone's rows read "heir.action" when it adopts a dead member and
-/// "replica.action" otherwise, and a `prefix` replaces the step. The first
-/// row of each journaled step carries the intent written before it.
+/// "replica.action" otherwise, and a `prefix` replaces the step. When
+/// journaled, the begin row carries "begin" and the first row of each step
+/// the intent written before it (reconfig::journal_intents).
 std::vector<Step> engine_steps(const Shape& shape, bool journaled,
                                const std::string& prefix = "") {
   std::vector<std::pair<const StepRow*, std::size_t>> rows;
@@ -395,8 +396,10 @@ std::vector<Step> engine_steps(const Shape& shape, bool journaled,
       }
     }
   }
+  const std::vector<const char*> intents =
+      journaled ? reconfig::journal_intents(shape) : std::vector<const char*>{};
+  auto intent = intents.begin();
   std::vector<Step> steps;
-  const char* step = nullptr;
   for (const auto& [row, i] : rows) {
     const bool alone = std::all_of(rows.begin(), rows.end(), [&](auto& r) {
       return r.first == row || r.first->step != row->step;
@@ -408,11 +411,12 @@ std::vector<Step> engine_steps(const Shape& shape, bool journaled,
         : i != 0        ? role + std::string(row->label)
         : alone         ? std::string(row->step)
                         : std::string(row->step) + "." + row->label;
-    const bool intent = journaled && row->step != step &&
-                        std::string_view(row->step) != reconfig::kStepRestore;
-    step = row->step;
+    const char* journal = row->action == Action::kBegin ? row->step : "";
+    if (intent != intents.end() && std::string_view(*intent) == row->step) {
+      journal = *intent++;
+    }
     steps.push_back({prim_of(row->action, i != 0, shape.clones[i].bindings),
-                     label, intent ? row->step : ""});
+                     label, journal});
   }
   return steps;
 }

@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <random>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "net/sim.hpp"
+#include "net/ticker.hpp"
 #include "support/diag.hpp"
 
 namespace surgeon::net {
@@ -190,6 +194,166 @@ TEST(Sim, RandomSchedulesRunInTimeThenInsertionOrder) {
       EXPECT_EQ(destroyed[id], 1) << "seed " << seed << " event " << id;
     }
   }
+}
+
+/// Periodic chains and one-shot events driven by one seeded script, the
+/// chains either net::Tickers or, as the reference, hand-rolled chains that
+/// reschedule at the end of their callback behind an epoch guard. A chain's
+/// run may end it, stop, destroy or restart itself or another chain, or
+/// schedule a one-shot event that does the same later; delays are often
+/// zero, and one-shots scheduled up front restart chains that died. Every
+/// run and one-shot is logged in order.
+class ChainWorld {
+ public:
+  static constexpr std::size_t kChains = 6;
+  /// (time, chain or kOneShot, start id or one-shot id, run number)
+  using Entry = std::tuple<SimTime, std::size_t, std::uint64_t, std::uint64_t>;
+  static constexpr std::size_t kOneShot = kChains;
+
+  ChainWorld(std::uint64_t seed, bool reference)
+      : rng_(seed), reference_(reference) {
+    for (std::size_t i = 0; i < kChains; ++i) start(i, rng_() % 5);
+    for (std::uint64_t k = 0; k < 100; ++k) {
+      sim.schedule_at(k * 5, [this, k] {
+        const std::size_t i = k % kChains;
+        log.emplace_back(sim.now(), kOneShot, 0, k);
+        if (live_[i] == 0 && budget_ > 0) start(i, rng_() % 5);
+      });
+    }
+  }
+
+  std::vector<Entry> log;
+  int stopped_inside = 0;     // a chain stopped or destroyed its own ticker
+  int destroyed_pending = 0;  // a ticker destroyed with its run pending
+  Simulator sim;
+
+ private:
+  void start(std::size_t i, SimTime first) {
+    const std::uint64_t id = ++starts_;
+    live_[i] = id;
+    runs_[i] = 0;
+    if (reference_) {
+      schedule_reference(i, ++epochs_[i], id, first);
+      return;
+    }
+    if (tickers_[i] == nullptr) tickers_[i] = std::make_unique<Ticker>();
+    tickers_[i]->start(sim, first, [this, i, id] { return run(i, id); });
+  }
+  void schedule_reference(std::size_t i, std::uint64_t epoch, std::uint64_t id,
+                          SimTime delay) {
+    sim.schedule_after(delay, [this, i, epoch, id] {
+      if (epochs_[i] != epoch) return;
+      const std::optional<SimTime> next = run(i, id);
+      if (next.has_value() && epochs_[i] == epoch) {
+        schedule_reference(i, epoch, id, *next);
+      }
+    });
+  }
+  void stop(std::size_t i) {
+    live_[i] = 0;
+    if (reference_) {
+      ++epochs_[i];
+    } else if (tickers_[i] != nullptr) {
+      tickers_[i]->stop();
+    }
+  }
+  void destroy(std::size_t i) {
+    live_[i] = 0;
+    if (reference_) {
+      ++epochs_[i];
+    } else {
+      tickers_[i].reset();
+    }
+  }
+  /// Stops, destroys or restarts chain `i`.
+  void act(std::size_t i) {
+    switch (rng_() % 4) {
+      case 0: stop(i); break;
+      case 1:
+        if (live_[i] != 0 && i != running_) ++destroyed_pending;
+        destroy(i);
+        break;
+      default:
+        if (budget_ > 0) start(i, rng_() % 5);
+    }
+  }
+  std::optional<SimTime> run(std::size_t i, std::uint64_t id) {
+    EXPECT_EQ(live_[i], id) << "chain " << i << " ran after its stop";
+    log.emplace_back(sim.now(), i, id, ++runs_[i]);
+    if (budget_ == 0) {
+      live_[i] = 0;
+      return std::nullopt;
+    }
+    --budget_;
+    running_ = i;
+    const auto roll = rng_() % 100;
+    if (roll < 4) {
+      live_[i] = 0;
+      running_ = kChains;
+      return std::nullopt;
+    }
+    if (roll < 10) {
+      ++stopped_inside;
+      (roll < 7 ? stop(i) : destroy(i));
+    } else if (roll < 40) {
+      act(rng_() % kChains);
+    } else if (roll < 55) {
+      const std::size_t target = rng_() % kChains;
+      const std::uint64_t shot = ++shots_;
+      sim.schedule_after(rng_() % 6, [this, target, shot] {
+        log.emplace_back(sim.now(), kOneShot, shot, 0);
+        if (budget_ > 0) act(target);
+      });
+    }
+    running_ = kChains;
+    return rng_() % 4;
+  }
+
+  std::mt19937_64 rng_;
+  bool reference_;
+  int budget_ = 400;
+  std::uint64_t starts_ = 0;
+  std::uint64_t shots_ = 0;
+  std::size_t running_ = kChains;
+  std::array<std::uint64_t, kChains> live_{};  // the running start's id
+  std::array<std::uint64_t, kChains> runs_{};
+  std::array<std::uint64_t, kChains> epochs_{};  // the reference's guard
+  std::array<std::unique_ptr<Ticker>, kChains> tickers_;
+};
+
+// Tickers against hand-rolled chains: the same runs and one-shots at the
+// same times in the same order, as many events in all (a stale run still
+// fires, as a no-op), and no callable after its chain's stop.
+TEST(Ticker, RandomChainsRunAsHandRolledChains) {
+  int stopped_inside = 0;
+  int destroyed_pending = 0;
+  for (std::uint64_t seed = 1; seed <= 30 && !HasFailure(); ++seed) {
+    ChainWorld tickers(seed, /*reference=*/false);
+    ChainWorld reference(seed, /*reference=*/true);
+    const std::size_t events = tickers.sim.run();
+    EXPECT_EQ(events, reference.sim.run()) << "seed " << seed;
+    EXPECT_EQ(tickers.log, reference.log) << "seed " << seed;
+    EXPECT_GT(tickers.log.size(), 400u) << "seed " << seed;
+    stopped_inside += tickers.stopped_inside;
+    destroyed_pending += tickers.destroyed_pending;
+  }
+  EXPECT_GT(stopped_inside, 300);
+  EXPECT_GT(destroyed_pending, 300);
+}
+
+TEST(Ticker, RunsUntilItsCallableStops) {
+  Simulator sim;
+  Ticker ticker;
+  std::vector<SimTime> at;
+  ticker.start(sim, 5, [&]() -> std::optional<SimTime> {
+    at.push_back(sim.now());
+    if (at.size() == 3) return std::nullopt;
+    return at.size() * 10;
+  });
+  EXPECT_TRUE(ticker.running());
+  (void)sim.run();
+  EXPECT_EQ(at, (std::vector<SimTime>{5, 15, 35}));
+  EXPECT_FALSE(ticker.running());
 }
 
 TEST(Sim, LatencyModelDistinguishesLocalAndRemote) {

@@ -25,6 +25,7 @@
 #include "recover/supervisor.hpp"
 #include "recover/wal.hpp"
 #include "reconfig/scripts.hpp"
+#include "support/diag.hpp"
 
 namespace surgeon {
 namespace {
@@ -133,32 +134,42 @@ TEST(Wal, MalformedRecordsThrow) {
 
 // --- failure detector -------------------------------------------------------
 
+/// Processes a hand-built heartbeat tick lists, all on one host.
+struct Listing {
+  std::vector<std::string> names;
+  std::string host = "vax";
+  [[nodiscard]] std::vector<app::LiveProcess> live() const {
+    std::vector<app::LiveProcess> out;
+    for (const std::string& name : names) out.push_back({&name, &host});
+    return out;
+  }
+};
+
 TEST(Detector, SuspectsModulesAfterSilence) {
   recover::FailureDetector det(recover::DetectorOptions{.suspicion_timeout_us = 100});
-  det.beat("a", 0);
-  det.beat("b", 0);
-  det.beat("a", 90);
-  EXPECT_TRUE(det.suspects(50).empty());
-  std::vector<std::string> s = det.suspects(150);
+  det.tick(0, 1, Listing{{"a", "b"}}.live());
+  det.tick(90, 2, Listing{{"a"}}.live());
+  EXPECT_TRUE(det.silent_modules(50).empty());
+  std::vector<std::string> s = det.silent_modules(150);
   ASSERT_EQ(s.size(), 1u);
   EXPECT_EQ(s[0], "b");  // a beat at 90, b has been silent for 150
-  s = det.suspects(500);
+  s = det.silent_modules(500);
   ASSERT_EQ(s.size(), 2u);
   EXPECT_EQ(s[0], "a");  // sorted by name
   EXPECT_EQ(s[1], "b");
   EXPECT_EQ(det.beats_observed(), 3u);
-  ASSERT_TRUE(det.last_beat("a").has_value());
-  EXPECT_EQ(*det.last_beat("a"), 90u);
+  ASSERT_TRUE(det.module_last_beat("a").has_value());
+  EXPECT_EQ(*det.module_last_beat("a"), 90u);
 }
 
 TEST(Detector, ForgetStopsTracking) {
   recover::FailureDetector det(recover::DetectorOptions{.suspicion_timeout_us = 10});
-  det.beat("a", 0);
-  EXPECT_EQ(det.tracked(), 1u);
-  det.forget("a");
-  EXPECT_EQ(det.tracked(), 0u);
-  EXPECT_TRUE(det.suspects(1000).empty());
-  EXPECT_FALSE(det.last_beat("a").has_value());
+  det.tick(0, 1, Listing{{"a"}}.live());
+  EXPECT_EQ(det.tracked_modules(), 1u);
+  det.forget_module("a");
+  EXPECT_EQ(det.tracked_modules(), 0u);
+  EXPECT_TRUE(det.silent_modules(1000).empty());
+  EXPECT_FALSE(det.module_last_beat("a").has_value());
 }
 
 // --- runtime heartbeats -----------------------------------------------------
@@ -189,38 +200,31 @@ TEST(Heartbeats, EveryLiveProcessBeatsOnTheVirtualClock) {
   auto rt = make_counter();
   recover::FailureDetector det(
       recover::DetectorOptions{.suspicion_timeout_us = 5'000});
-  rt->enable_heartbeats(1'000, [&](net::SimTime at, std::uint64_t,
-                                    std::span<const app::LiveProcess> live) {
-    for (const app::LiveProcess& process : live) {
-      det.beat(*process.instance, at);
-    }
-  });
-  EXPECT_TRUE(rt->heartbeats_enabled());
+  det.start(*rt, 1'000);
+  EXPECT_TRUE(det.running());
   rt->run_for(10'000);
-  EXPECT_EQ(det.tracked(), 2u);  // client and server both beat
+  EXPECT_EQ(det.tracked_modules(), 2u);  // client and server both beat
   EXPECT_GE(det.beats_observed(), 10u);
-  EXPECT_TRUE(det.suspects(rt->now()).empty());
+  EXPECT_TRUE(det.silent_modules(rt->now()).empty());
 
   // A crashed module stops beating and crosses the suspicion timeout.
   rt->crash_module("server", "test crash");
   rt->run_for(10'000);
-  std::vector<std::string> s = det.suspects(rt->now());
+  std::vector<std::string> s = det.silent_modules(rt->now());
   ASSERT_EQ(s.size(), 1u);
   EXPECT_EQ(s[0], "server");
 
-  // disable_heartbeats invalidates the pending tick.
+  // stop() invalidates the pending tick.
   std::uint64_t before = det.beats_observed();
-  rt->disable_heartbeats();
+  det.stop();
   rt->run_for(10'000);
   EXPECT_EQ(det.beats_observed(), before);
 }
 
 TEST(Heartbeats, ZeroIntervalRejected) {
   auto rt = make_counter();
-  EXPECT_THROW(
-      rt->enable_heartbeats(0, [](net::SimTime, std::uint64_t,
-                                  std::span<const app::LiveProcess>) {}),
-      support::BusError);
+  recover::FailureDetector det;
+  EXPECT_THROW(det.start(*rt, 0), support::BusError);
 }
 
 // --- coordinator crash recovery (directed, one test per watershed side) ----
@@ -343,7 +347,22 @@ TEST(Recovery, StateRedeliveredFromWalWhenMailboxLost) {
 // hand-rolled BoundarySweep over Range(0, 8)) was promoted into the
 // systematic explorer: systematic_test's BoundariesPromoted enumerates the
 // same eight coordinator-crash boundaries through chaos::explore, which
-// derives them from recover::kCrashBoundaries instead of a hand-kept list.
+// derives them from the replace shape's journal intents.
+
+/// The replace script's crash boundaries: its journal intents, the seven
+/// Figure 5 steps and then commit.
+const int kBoundaries = static_cast<int>(
+    reconfig::journal_intents(reconfig::replace_shape()).size());
+
+TEST(Recovery, ReplaceBoundariesAreTheFigure5StepsThenCommit) {
+  std::vector<std::string> expected(reconfig::kFigure5Steps.begin(),
+                                    reconfig::kFigure5Steps.end());
+  expected.emplace_back(reconfig::kStepCommit);
+  const std::vector<const char*> intents =
+      reconfig::journal_intents(reconfig::replace_shape());
+  EXPECT_EQ(std::vector<std::string>(intents.begin(), intents.end()),
+            expected);
+}
 
 // ISSUE acceptance: the coordinator is killed at every step boundary across
 // 25 randomized scenarios (faults, partitions, all three apps) -- 200 runs.
@@ -352,8 +371,8 @@ TEST(Recovery, StateRedeliveredFromWalWhenMailboxLost) {
 class CoordinatorKillSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(CoordinatorKillSweep, Invariants) {
-  const std::uint64_t seed = 500 + std::uint64_t(GetParam()) / 8;
-  const int boundary = GetParam() % 8;
+  const std::uint64_t seed = 500 + std::uint64_t(GetParam() / kBoundaries);
+  const int boundary = GetParam() % kBoundaries;
   chaos::ScenarioSpec spec = chaos::random_scenario(seed);
   spec.crash_clone = false;  // recovery roll-forward is single-shot
   spec.crash_coordinator_at_step = boundary;
@@ -363,7 +382,7 @@ TEST_P(CoordinatorKillSweep, Invariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoordinatorKillSweep,
-                         ::testing::Range(0, 200));
+                         ::testing::Range(0, 25 * kBoundaries));
 
 // --- checkpoint-based module recovery ---------------------------------------
 
@@ -517,6 +536,46 @@ TEST(Supervisor, PeriodicCheckpointsAreTransparent) {
   EXPECT_TRUE(sup.has_checkpoint("server"));
   EXPECT_NE(sup.current_instance("server"), "server");
   rt->check_faults();
+}
+
+// A started supervisor destroyed while its ticks (the detector's read, the
+// sweep, the checkpoint tick) are pending: the runtime runs on, and each
+// pending tick fires as a no-op (ASan pins it).
+TEST(Supervisor, DestroyedThenTheRuntimeRunsOn) {
+  auto rt = make_retry_counter();
+  {
+    recover::SupervisorOptions options;
+    options.checkpoint_interval_us = 40'000;
+    recover::Supervisor sup(*rt, rt->simulator().durable_store("sparc"),
+                            options);
+    sup.watch("server");
+    sup.start();
+    rt->run_for(30'000);
+  }
+  rt->run_for(100'000);
+  rt->check_faults();
+}
+
+// A zero interval would reschedule its tick at the same virtual
+// microsecond forever; the constructor names the option instead.
+TEST(Supervisor, RejectsAZeroSweepOrHeartbeatInterval) {
+  auto rt = make_counter();
+  const std::size_t pending = rt->simulator().pending_events();
+  for (const bool sweep : {true, false}) {
+    recover::SupervisorOptions options;
+    (sweep ? options.sweep_interval_us : options.heartbeat_interval_us) = 0;
+    const char* option = sweep ? "SupervisorOptions::sweep_interval_us"
+                               : "SupervisorOptions::heartbeat_interval_us";
+    try {
+      recover::Supervisor sup(*rt, rt->simulator().durable_store("sparc"),
+                              options);
+      ADD_FAILURE() << option << " = 0 was accepted";
+    } catch (const support::BusError& e) {
+      EXPECT_NE(std::string(e.what()).find(option), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(rt->simulator().pending_events(), pending);
 }
 
 }  // namespace

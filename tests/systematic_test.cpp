@@ -11,7 +11,7 @@
 
 #include "chaos/scenario.hpp"
 #include "chaos/systematic.hpp"
-#include "recover/recovery.hpp"
+#include "reconfig/scripts.hpp"
 
 namespace surgeon::chaos {
 namespace {
@@ -46,7 +46,7 @@ TEST(Systematic, ExhaustsTheSmallScenarioWithZeroViolations) {
   EXPECT_EQ(result.schedules_explored, 67u);
   EXPECT_EQ(result.wire_points_discovered, 12u);
   EXPECT_EQ(result.crash_boundaries_covered.size(),
-            recover::kCrashBoundaries.size());
+            reconfig::journal_intents(reconfig::replace_shape()).size());
 }
 
 // Depth 2: the combination pruning starts to pay. Every explored schedule
@@ -65,9 +65,10 @@ TEST(Systematic, DepthTwoPrunesReorderingsOfIndependentDrops) {
 
 // The eight coordinator-crash-boundary scenarios that recover_test used to
 // hand-roll (BoundarySweep over Range(0, 8)) are now ENUMERATED by the
-// explorer from recover::kCrashBoundaries: boundaries 0..3 precede the
-// divulge watershed and must roll back, 4..7 follow it and must roll
-// forward, and every run converges to the golden output (invariant 4).
+// explorer from the replace shape's journal intents (the seven Figure 5
+// steps, then commit): boundaries 0..3 precede the divulge watershed and
+// must roll back, 4..7 follow it and must roll forward, and every run
+// converges to the golden output (invariant 4).
 TEST(Systematic, BoundariesPromotedFromRecoverTest) {
   SystematicOptions options = small_scenario();
   options.max_drops = 0;  // crash dimension only
@@ -75,13 +76,13 @@ TEST(Systematic, BoundariesPromotedFromRecoverTest) {
   const SystematicResult result = explore(options);
   EXPECT_TRUE(result.ok());
   // One fault-free schedule plus one per crash boundary.
-  ASSERT_EQ(result.schedules_explored,
-            1 + recover::kCrashBoundaries.size());
+  const std::size_t crash_boundaries =
+      reconfig::journal_intents(reconfig::replace_shape()).size();
+  ASSERT_EQ(result.schedules_explored, 1 + crash_boundaries);
   ASSERT_EQ(result.outcomes.size(), result.schedules_explored);
   std::set<int> boundaries(result.crash_boundaries_covered.begin(),
                            result.crash_boundaries_covered.end());
-  for (int b = 0; b < static_cast<int>(recover::kCrashBoundaries.size());
-       ++b) {
+  for (int b = 0; b < static_cast<int>(crash_boundaries); ++b) {
     EXPECT_TRUE(boundaries.count(b)) << "boundary " << b << " not explored";
   }
   for (const ScheduleOutcome& outcome : result.outcomes) {

@@ -24,6 +24,7 @@
 #include "app/samples.hpp"
 #include "cfg/parser.hpp"
 #include "net/sim.hpp"
+#include "net/ticker.hpp"
 
 namespace {
 
@@ -150,38 +151,44 @@ TEST(VmAlloc, TracedRpcIsAllocationFree) {
 
 // Once the queue has grown, scheduling and running the callback shapes of
 // the hot paths allocates nothing: a delivery or timer [this, u32], the
-// reliable layer's ack [this, uid, stream, seq], a native tick
-// [this, weak_ptr] and a sleep wake-up [this, std::string].
+// reliable layer's ack [this, uid, stream, seq], a sleep wake-up
+// [this, std::string], and a ticker's run (a native module's tick, a
+// detector's heartbeat read, a sweep).
 TEST(VmAlloc, EventQueueHotPathCapturesAreAllocationFree) {
   net::Simulator sim;
   std::uint64_t sum = 0;
-  const auto alive = std::make_shared<int>(0);
   const std::string instance = "server";  // short enough to copy in place
+  net::Ticker ticker;
+  ticker.start(sim, 1, [&sum] {
+    ++sum;
+    return net::SimTime{1};
+  });
   const auto schedule_round = [&] {
     for (std::uint32_t i = 0; i < 256; ++i) {
       auto delivery = [&sum, i] { sum += i; };
       auto ack = [&sum, uid = std::uint64_t{i}, stream = std::uint64_t{7},
                   seq = std::uint64_t{i} * 3] { sum += uid + stream + seq; };
-      auto tick = [&sum, guard = std::weak_ptr<int>(alive)] {
-        if (!guard.expired()) ++sum;
-      };
       auto wake = [&sum, name = instance] { sum += name.size(); };
       static_assert(sizeof(delivery) == 16 && sizeof(ack) == 32 &&
-                    sizeof(tick) == 24 && sizeof(wake) == 40);
+                    sizeof(wake) == 40);
       sim.schedule_after(i % 7, std::move(delivery));
       sim.schedule_after(i % 5, std::move(ack));
-      sim.schedule_after(i % 3, std::move(tick));
       sim.schedule_after(i % 11, std::move(wake));
     }
-    (void)sim.run();
+    // The round's events, with the ticker's runs among and after them.
+    const net::SimTime end = sim.now() + 16;
+    while (sim.now() < end) (void)sim.step();
   };
   schedule_round();  // grows the heap, the slot table and the free list
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   schedule_round();
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  ticker.stop();
+  (void)sim.run();  // the stopped ticker's pending run, a no-op
   EXPECT_TRUE(sim.idle());
   EXPECT_GT(sum, 0u);
-  EXPECT_EQ(after - before, 0u) << "allocations over 1,024 events";
+  EXPECT_EQ(after - before, 0u)
+      << "allocations over 768 events and the ticker's runs";
 }
 
 }  // namespace

@@ -181,8 +181,9 @@ int run_systematic(int max_drops, int work_items, int partition_windows,
       }
     }
     for (int w = 0; w < partition_windows; ++w) {
-      // Control-to-ring cuts; heartbeats are runtime callbacks, so a cut
-      // delays rebuild control traffic without forging a machine death.
+      // Control-to-ring cuts; the detector reads liveness from the runtime,
+      // not the wire, so a cut delays rebuild control traffic without
+      // forging a machine death.
       const surgeon::net::SimTime from =
           100'000 + 400'000 * static_cast<surgeon::net::SimTime>(w);
       options.partition_windows.push_back(
