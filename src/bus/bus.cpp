@@ -777,15 +777,7 @@ void Bus::signal_reconfig(const std::string& module) {
                        [this, module, uid, req_ctx] {
     auto it = modules_.find(module);
     if (it == modules_.end() || it->second.uid != uid) return;
-    it->second.reconfig_signaled = true;
-    ++stats_.signals_delivered;
-    if (metrics_on()) {
-      metrics_->counter("surgeon_bus_signals_total", {{"module", module}})
-          .inc();
-    }
-    rec_event(trc::EventKind::kSignal, it->second.info.machine, module,
-              "reconfigure delivered", req_ctx);
-    wake(module);
+    arrive_signal(it->second, module, req_ctx);
   });
 }
 
@@ -862,14 +854,7 @@ void Bus::deliver_state(const std::string& from_machine,
       latency, [this, to_module, uid, divulge_ctx, bytes = std::move(bytes)] {
         auto it = modules_.find(to_module);
         if (it == modules_.end() || it->second.uid != uid) return;
-        last_state_ctx_[to_module] = rec_event(
-            trc::EventKind::kStateDeliver, it->second.info.machine, to_module,
-            std::to_string(bytes.size()) + " bytes", divulge_ctx);
-        if (state_observer_) {
-          state_observer_(to_module, "delivered", bytes);
-        }
-        it->second.incoming_state = bytes;
-        wake(to_module);
+        arrive_state(it->second, to_module, bytes, divulge_ctx);
       });
 }
 
@@ -1294,7 +1279,7 @@ void Bus::transmit_control(std::uint64_t id) {
                            auto m = modules_.find(target);
                            if (m == modules_.end() || m->second.uid != uid)
                              return;
-                           apply_signal(target, id);
+                           apply_control(target, id, nullptr);
                          });
   } else {
     auto bytes = tx.bytes;
@@ -1303,7 +1288,7 @@ void Bus::transmit_control(std::uint64_t id) {
         [this, target, id, uid, bytes = std::move(bytes)] {
           auto m = modules_.find(target);
           if (m == modules_.end() || m->second.uid != uid) return;
-          apply_state(target, id, bytes);
+          apply_control(target, id, &bytes);
         });
   }
 }
@@ -1343,7 +1328,8 @@ void Bus::note_control_applied(ModuleRec& r, std::uint64_t id) {
   }
 }
 
-void Bus::apply_signal(const std::string& module, std::uint64_t id) {
+void Bus::apply_control(const std::string& module, std::uint64_t id,
+                        const std::vector<std::uint8_t>* state) {
   auto it = modules_.find(module);
   if (it == modules_.end()) return;
   ModuleRec& r = it->second;
@@ -1351,50 +1337,44 @@ void Bus::apply_signal(const std::string& module, std::uint64_t id) {
   const trc::TraceContext cause =
       ctl_it == control_.end() ? trc::TraceContext{}
                                : ctl_it->second.trace_ctx;
+  const char* kind_str = state == nullptr ? "signal" : "state";
   if (control_applied(r, id)) {
     ++rstats_.dup_discards;
-    chaos_metric("surgeon_bus_dups_discarded_total", "signal");
+    chaos_metric("surgeon_bus_dups_discarded_total", kind_str);
     rec_event(trc::EventKind::kDupDiscard, r.info.machine, module,
-              "signal id " + std::to_string(id), cause);
+              std::string(kind_str) + " id " + std::to_string(id), cause);
   } else {
     note_control_applied(r, id);
-    r.reconfig_signaled = true;
-    ++stats_.signals_delivered;
-    if (metrics_on()) {
-      metrics_->counter("surgeon_bus_signals_total", {{"module", module}})
-          .inc();
+    if (state == nullptr) {
+      arrive_signal(r, module, cause);
+    } else {
+      arrive_state(r, module, *state, cause);
     }
-    rec_event(trc::EventKind::kSignal, r.info.machine, module,
-              "reconfigure delivered", cause);
-    wake(module);
   }
   ack_control(module, id);
 }
 
-void Bus::apply_state(const std::string& module, std::uint64_t id,
-                      const std::vector<std::uint8_t>& bytes) {
-  auto it = modules_.find(module);
-  if (it == modules_.end()) return;
-  ModuleRec& r = it->second;
-  auto ctl_it = control_.find(id);
-  const trc::TraceContext cause =
-      ctl_it == control_.end() ? trc::TraceContext{}
-                               : ctl_it->second.trace_ctx;
-  if (control_applied(r, id)) {
-    ++rstats_.dup_discards;
-    chaos_metric("surgeon_bus_dups_discarded_total", "state");
-    rec_event(trc::EventKind::kDupDiscard, r.info.machine, module,
-              "state id " + std::to_string(id), cause);
-  } else {
-    note_control_applied(r, id);
-    last_state_ctx_[module] = rec_event(
-        trc::EventKind::kStateDeliver, r.info.machine, module,
-        std::to_string(bytes.size()) + " bytes", cause);
-    if (state_observer_) state_observer_(module, "delivered", bytes);
-    r.incoming_state = bytes;
-    wake(module);
+void Bus::arrive_signal(ModuleRec& r, const std::string& module,
+                        const trc::TraceContext& cause) {
+  r.reconfig_signaled = true;
+  ++stats_.signals_delivered;
+  if (metrics_on()) {
+    metrics_->counter("surgeon_bus_signals_total", {{"module", module}}).inc();
   }
-  ack_control(module, id);
+  rec_event(trc::EventKind::kSignal, r.info.machine, module,
+            "reconfigure delivered", cause);
+  wake(module);
+}
+
+void Bus::arrive_state(ModuleRec& r, const std::string& module,
+                       const std::vector<std::uint8_t>& bytes,
+                       const trc::TraceContext& cause) {
+  last_state_ctx_[module] =
+      rec_event(trc::EventKind::kStateDeliver, r.info.machine, module,
+                std::to_string(bytes.size()) + " bytes", cause);
+  if (state_observer_) state_observer_(module, "delivered", bytes);
+  r.incoming_state = bytes;
+  wake(module);
 }
 
 void Bus::ack_control(const std::string& module, std::uint64_t id) {

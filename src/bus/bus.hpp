@@ -623,9 +623,17 @@ class Bus {
   [[nodiscard]] static bool control_applied(const ModuleRec& r,
                                             std::uint64_t id);
   static void note_control_applied(ModuleRec& r, std::uint64_t id);
-  void apply_signal(const std::string& module, std::uint64_t id);
-  void apply_state(const std::string& module, std::uint64_t id,
-                   const std::vector<std::uint8_t>& bytes);
+  /// A reliable transfer's arrival: a duplicate is discarded, else it
+  /// arrives as a signal (`state` null) or a state buffer; both are acked.
+  void apply_control(const std::string& module, std::uint64_t id,
+                     const std::vector<std::uint8_t>* state);
+  /// A first arrival by either delivery mode: the flag or mailbox is set,
+  /// counted, recorded as caused by `cause`, observed, and the module woken.
+  void arrive_signal(ModuleRec& r, const std::string& module,
+                     const trc::TraceContext& cause);
+  void arrive_state(ModuleRec& r, const std::string& module,
+                    const std::vector<std::uint8_t>& bytes,
+                    const trc::TraceContext& cause);
   void ack_control(const std::string& module, std::uint64_t id);
   void update_reliable_gauges();
   void apply_queue_edit(const BindEdit& edit);

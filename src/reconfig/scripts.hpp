@@ -26,9 +26,9 @@
 // One transaction engine (transaction.cpp) implements these steps for every
 // reconfiguration in the repository. A Shape configures one run: the clones
 // to create, how each takes its bindings, and whether the state is divulged
-// by the source or supplied by the caller. The engine runs kStepTable row by
-// row; verify::shipped_plans() walks the same table through row_applies(),
-// so a plan cannot drift from its script.
+// by the source or supplied by the caller. The engine runs shape_rows(), a
+// shape's rows of kStepTable; the journal and verify::shipped_plans() read
+// the same rows, so a plan cannot drift from its script.
 #pragma once
 
 #include <array>
@@ -86,20 +86,19 @@ class ScriptError : public support::Error {
 /// crashes mid-script leaves enough on disk for a successor to roll the
 /// replacement forward (post-divulge) or back (pre-divulge).
 ///
-/// The boundaries follow kStepTable: the begin record, then one intent per
-/// step that runs (the restore wait writes none), in table order.
-/// verify::shipped_plans() is generated from the same table, and
+/// The boundaries follow shape_rows(): the begin record, then one intent
+/// per step that runs (the restore wait writes none), in table order.
+/// verify::shipped_plans() is generated from the same rows, and
 /// verify_test runs every journaled configuration against a recording
 /// journal, so a plan's boundaries cannot drift from a run's.
+struct Shape;
+
 class ScriptJournal {
  public:
   virtual ~ScriptJournal() = default;
-  /// A transaction opened: the source instance, the clone the transaction
-  /// is about (the last one it registers: the heir of a group rebuild), and
-  /// that clone's requested machine ("" = stay in place).
-  virtual void begin(const std::string& old_instance,
-                     const std::string& new_instance,
-                     const std::string& machine) = 0;
+  /// A transaction opened: the source and the shape it runs, each clone
+  /// named, so a successor can re-enter the same run (surgeon::recover).
+  virtual void begin(const std::string& source, const Shape& shape) = 0;
   /// About to execute the named step (one of kFigure5Steps, or kStepCommit
   /// just before the commit record is written).
   virtual void intent(const char* step) = 0;
@@ -268,16 +267,24 @@ inline constexpr std::array<StepRow, 16> kStepTable = {{
     {kStepCommit, Action::kCommit, "commit", false},
 }};
 
-/// Does `row` run in `shape` (for clone `clone`, when it runs per clone)?
-/// The engine and verify's plan generator share this predicate.
-[[nodiscard]] bool row_applies(const StepRow& row, const Shape& shape,
-                               bool journaled, std::size_t clone);
+/// One row of a shape's run: the table row, its clone (0 for a row run once),
+/// and whether it enters a step that journals an intent (all but begin and
+/// the restore wait).
+struct RowRun {
+  const StepRow* row;
+  std::size_t clone;
+  bool intent;
+};
 
-/// The intents a journaled run of `shape` writes, in table order: one per
-/// step that runs, on entering it (the begin record and the restore wait
-/// write none), so kStepCommit comes last. They are the boundaries its
-/// coordinator can die at (surgeon::recover, chaos::explore); for
-/// replace_shape() the seven Figure 5 steps and then commit.
+/// `shape`'s rows of kStepTable in run order (`journaled` adds the begin
+/// record): the engine runs them and journal_intents() and verify map them.
+[[nodiscard]] std::vector<RowRun> shape_rows(const Shape& shape,
+                                             bool journaled);
+
+/// The intents a journaled run of `shape` writes, in table order, so
+/// kStepCommit comes last. They are the boundaries its coordinator can die
+/// at (surgeon::recover, chaos::explore); for replace_shape() the seven
+/// Figure 5 steps and then commit.
 [[nodiscard]] std::vector<const char*> journal_intents(const Shape& shape);
 
 /// The shipped configurations; defaulted arguments only name machines.
@@ -292,6 +299,12 @@ inline constexpr std::array<StepRow, 16> kStepTable = {{
 ReplaceReport run_transaction(app::Runtime& rt, const std::string& source,
                               const Shape& shape,
                               const ReplaceOptions& options);
+
+/// The engine's pre-watershed rollback of a VM run of `shape` (clones named):
+/// cancels the source's control traffic and pending signal, and removes
+/// every registered clone with its control traffic.
+void roll_back(app::Runtime& rt, const std::string& source,
+               const Shape& shape);
 
 // --- the scripts -------------------------------------------------------------
 

@@ -14,6 +14,9 @@ using bus::BindEdit;
 using bus::BindEditBatch;
 using bus::BindingEnd;
 
+namespace {
+
+/// Does `row` run in `shape` (for clone `clone`, when it runs per clone)?
 bool row_applies(const StepRow& row, const Shape& shape, bool journaled,
                  std::size_t clone) {
   const Binding bindings = shape.clones[clone].bindings;
@@ -32,21 +35,28 @@ bool row_applies(const StepRow& row, const Shape& shape, bool journaled,
   }
 }
 
-std::vector<const char*> journal_intents(const Shape& shape) {
-  std::vector<const char*> intents;
+}  // namespace
+
+std::vector<RowRun> shape_rows(const Shape& shape, bool journaled) {
+  std::vector<RowRun> rows;
+  std::string_view step;
   for (const StepRow& row : kStepTable) {
-    const std::string_view step(row.step);
-    if (step == kStepBegin || step == kStepRestore ||
-        (!intents.empty() && step == intents.back())) {
-      continue;
-    }
     for (std::size_t i = 0; i < (row.per_clone ? shape.clones.size() : 1);
          ++i) {
-      if (row_applies(row, shape, /*journaled=*/true, i)) {
-        intents.push_back(row.step);
-        break;
-      }
+      if (!row_applies(row, shape, journaled, i)) continue;
+      const bool enters = step != row.step;
+      step = row.step;
+      rows.push_back({&row, i,
+                      enters && step != kStepBegin && step != kStepRestore});
     }
+  }
+  return rows;
+}
+
+std::vector<const char*> journal_intents(const Shape& shape) {
+  std::vector<const char*> intents;
+  for (const RowRun& run : shape_rows(shape, /*journaled=*/true)) {
+    if (run.intent) intents.push_back(run.row->step);
   }
   return intents;
 }
@@ -185,6 +195,20 @@ class NativeModules final : public Participant {
   std::map<std::string, std::unique_ptr<bus::NativeModule>> clones_;
 };
 
+/// roll_back over any participant.
+void roll_back(bus::Bus& bus, Participant& modules, const std::string& source,
+               const Shape& shape) {
+  if (bus.has_module(source)) {
+    bus.cancel_pending_control(source);
+    (void)bus.take_pending_signal(source);
+  }
+  for (const CloneSpec& clone : shape.clones) {
+    if (!bus.has_module(clone.name)) continue;
+    bus.cancel_pending_control(clone.name);
+    modules.retire(clone.name);
+  }
+}
+
 /// One run of kStepTable for one shape.
 class Transaction {
  public:
@@ -203,13 +227,12 @@ class Transaction {
   Transaction& operator=(const Transaction&) = delete;
 
   ReplaceReport run() {
-    if (!shape_.state.has_value() && !bus_.has_module(source_)) {
-      throw ScriptError(shape_.script + ": unknown module '" + source_ + "'");
-    }
-    for (const CloneSpec& spec : shape_.clones) {
-      if (spec.bindings == Binding::kAdopt && !bus_.has_module(spec.holder)) {
-        throw ScriptError(shape_.script + ": unknown module '" + spec.holder +
-                          "'");
+    // A run that starts past the watershed (state supplied) may find the
+    // source and an adopted holder gone already; its rows probe them.
+    if (!shape_.state.has_value()) {
+      require(source_);
+      for (const CloneSpec& spec : shape_.clones) {
+        if (spec.bindings == Binding::kAdopt) require(spec.holder);
       }
     }
     report_.old_instance = source_;
@@ -220,34 +243,29 @@ class Transaction {
       report_.trace_id = rt_.tracer().begin_trace("replace:" + source_);
     }
     // Clone names are assigned before step 1 so the journal's begin record
-    // names the parties up front; a recovering coordinator then knows
-    // exactly which instance to look for.
-    for (const CloneSpec& spec : shape_.clones) {
-      clones_.push_back(spec.name.empty() ? modules_.fresh_name(source_)
-                                          : spec.name);
+    // names the parties up front; a successor re-enters the run under them.
+    for (CloneSpec& spec : shape_.clones) {
+      if (spec.name.empty()) spec.name = modules_.fresh_name(source_);
+      clones_.push_back(spec.name);
     }
     if (shape_.state.has_value()) {
       report_.divulged_at = rt_.now();
       hold(*shape_.state);
     }
-    const bool journaled = options_.journal != nullptr;
     const char* step = nullptr;
-    for (const StepRow& row : kStepTable) {
-      for (std::size_t i = 0; i < (row.per_clone ? clones_.size() : 1); ++i) {
-        if (!row_applies(row, shape_, journaled, i) ||
-            (row.step == std::string_view(kStepRestore) &&
-             !options_.wait_for_restore)) {
-          continue;
-        }
-        if (row.step != step) enter(step = row.step);
-        // Before the watershed nothing irreversible happened: a failure
-        // removes the clones and leaves the application on the old instance.
-        try {
-          execute(row.action, i);
-        } catch (const std::exception& e) {
-          if (!divulged_ && !rolled_back_) rollback(e.what());
-          throw;
-        }
+    for (const RowRun& run : shape_rows(shape_, options_.journal != nullptr)) {
+      if (run.row->step == std::string_view(kStepRestore) &&
+          !options_.wait_for_restore) {
+        continue;
+      }
+      if (run.row->step != step) enter(step = run.row->step, run.intent);
+      // Before the watershed nothing irreversible happened: a failure
+      // removes the clones and leaves the application on the old instance.
+      try {
+        execute(run.row->action, run.clone);
+      } catch (const std::exception& e) {
+        if (!divulged_ && !rolled_back_) rollback(e.what());
+        throw;
       }
     }
     report_.new_instance = clones_.front();
@@ -255,18 +273,25 @@ class Transaction {
   }
 
  private:
+  void require(const std::string& module) const {
+    if (!bus_.has_module(module)) {
+      throw ScriptError(shape_.script + ": unknown module '" + module + "'");
+    }
+  }
+
   /// Write-ahead discipline: the intent record hits the log before the step
   /// runs, and the crash hook fires between the two -- a throw from it
   /// models the coordinator dying at exactly that boundary, so nothing is
   /// rolled back. Each Figure 5 step then runs under an obs::Span (a no-op
   /// while metrics are disabled).
-  void enter(const char* step) {
+  void enter(const char* step, bool intent) {
     span_.reset();
-    const std::string_view name(step);
-    if (name == kStepBegin || name == kStepRestore) return;
+    if (!intent) return;
     if (options_.journal != nullptr) options_.journal->intent(step);
     if (options_.crash_hook) options_.crash_hook(step);
-    if (name != kStepCommit) span_.emplace(&rt_.metrics(), step, source_);
+    if (std::string_view(step) != kStepCommit) {
+      span_.emplace(&rt_.metrics(), step, source_);
+    }
   }
 
   /// Whose bindings and queues `clone` takes: an adopted holder's, or else
@@ -279,8 +304,7 @@ class Transaction {
     const CloneSpec& spec = shape_.clones[i];
     switch (action) {
       case Action::kBegin:
-        options_.journal->begin(source_, clones_.back(),
-                                shape_.clones.back().machine);
+        options_.journal->begin(source_, shape_);
         break;
       case Action::kObjCap:
         // The machine may have changed in an earlier reconfiguration, so
@@ -393,6 +417,7 @@ class Transaction {
         if (bus_.has_module(source_)) modules_.retire(source_);
         break;
       case Action::kRetire:
+        if (!bus_.has_module(spec.holder)) break;
         bus_.cancel_pending_control(spec.holder);
         modules_.retire(spec.holder);
         break;
@@ -475,19 +500,9 @@ class Transaction {
     }
   }
 
-  /// Pre-watershed rollback: pending control traffic is cancelled and the
-  /// clones are removed; the application keeps serving on the old instance.
   void rollback(const std::string& reason) {
     rolled_back_ = true;
-    if (bus_.has_module(source_)) {
-      bus_.cancel_pending_control(source_);
-      (void)bus_.take_pending_signal(source_);
-    }
-    for (const std::string& name : clones_) {
-      if (!bus_.has_module(name)) continue;
-      bus_.cancel_pending_control(name);
-      modules_.retire(name);
-    }
+    roll_back(bus_, modules_, source_, shape_);
     if (options_.journal != nullptr) options_.journal->aborted(reason);
   }
 
@@ -524,7 +539,7 @@ class Transaction {
   bus::Bus& bus_;
   Participant& modules_;
   const std::string source_;
-  const Shape& shape_;
+  Shape shape_;  // clones named as the run assigned them
   const ReplaceOptions& options_;
   ReplaceReport report_;
   std::vector<std::string>& clones_ = report_.clones;
@@ -571,6 +586,12 @@ ReplaceReport run_transaction(app::Runtime& rt, const std::string& source,
                               const ReplaceOptions& options) {
   VmModules modules(rt, shape.script, options.program);
   return Transaction(rt, modules, source, shape, options).run();
+}
+
+void roll_back(app::Runtime& rt, const std::string& source,
+               const Shape& shape) {
+  VmModules modules(rt, shape.script, nullptr);
+  roll_back(rt.bus(), modules, source, shape);
 }
 
 ReplaceReport replace_module(app::Runtime& rt, const std::string& instance,

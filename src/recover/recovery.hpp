@@ -3,19 +3,18 @@
 // A coordinator that dies between Figure 5 steps leaves the application in
 // one of two classes of states, separated by the divulge watershed:
 //
-//   pre-divulge  -- nothing irreversible happened. The clone (if it was
-//                   registered) is removed, pending control traffic is
-//                   cancelled, and the old instance keeps serving: ROLLBACK.
+//   pre-divulge  -- nothing irreversible happened. The engine's rollback
+//                   removes every logged clone and cancels pending control
+//                   traffic, and the old instance keeps serving: ROLLBACK.
 //   post-divulge -- the old module's state is durable in the WAL (and its
 //                   process has already left its main loop), so the only
-//                   safe direction is forward: finish delivering the state,
-//                   rebind, start the clone, retire the old instance:
-//                   ROLL-FORWARD.
+//                   safe direction is forward: the engine is re-entered
+//                   with the logged shape and state: ROLL-FORWARD.
 //
-// Every action probes live state first (was the state already delivered?
-// are the bindings already moved? is the clone already running?), so
-// recovery is idempotent: it completes a half-done script regardless of
-// which boundary the crash hit, and running it twice is harmless.
+// Every engine row probes live state first (was the state already
+// delivered? are the bindings already moved? is the clone already
+// running?), so recovery is idempotent: it completes a half-done run of any
+// shape regardless of which boundary the crash hit.
 #pragma once
 
 #include <cstdint>
@@ -34,35 +33,23 @@ class CoordinatorCrash : public support::Error {
   using Error::Error;
 };
 
-struct RecoveryOptions {
-  /// Scheduling budget for each wait inside recovery.
-  std::uint64_t max_rounds = 1'000'000;
-  /// Settle window run before probing: lets control traffic the dead
-  /// coordinator already launched (reliable state/signal retries) land.
-  net::SimTime settle_us = 50'000;
-  /// Drain window before the old instance is removed on roll-forward.
-  net::SimTime drain_us = 10'000;
-  /// Budget for the clone to finish restoring (0 = rounds budget only).
-  net::SimTime restore_timeout_us = 10'000'000;
-};
-
 struct RecoveryReport {
   bool found_open_txn = false;
   std::uint64_t txn = 0;
   bool rolled_forward = false;
   bool rolled_back = false;
-  /// Roll-forward only: did the clone finish restoring within the budget?
+  /// Roll-forward only: did every clone finish restoring within the budget?
   bool restored = false;
   std::string old_instance;
-  std::string new_instance;
+  std::string new_instance;  // the clone that took the source's place
   /// The last step whose intent made it into the WAL before the crash.
   std::string crashed_after_step;
 };
 
 /// Scans the WAL a dead coordinator wrote and completes (or rolls back) the
 /// open transaction, if any. Safe to call when the log is empty or fully
-/// closed -- it reports found_open_txn=false and touches nothing.
-RecoveryReport recover_coordinator(app::Runtime& rt, Wal& wal,
-                                   const RecoveryOptions& options = {});
+/// closed -- it reports found_open_txn=false and touches nothing. It settles
+/// for 50 ms first and gives the clones 10 s to restore.
+RecoveryReport recover_coordinator(app::Runtime& rt, Wal& wal);
 
 }  // namespace surgeon::recover

@@ -130,8 +130,6 @@ reconfig::ReplaceReport Supervisor::checkpoint_now(const std::string& name) {
   }
   support::FlagScope control(in_control_);
   reconfig::ReplaceOptions opts;
-  opts.max_rounds = options_.max_rounds;
-  opts.drain_us = options_.drain_us;
   // The production capture path: the divulged buffer that installs the
   // in-place clone is, byte for byte, the checkpoint we persist.
   opts.state_sink = [this, w](const std::vector<std::uint8_t>& bytes) {
@@ -180,8 +178,6 @@ std::string Supervisor::restore_from_checkpoint(const std::string& instance) {
   // control traffic is void.
   bus.cancel_pending_control(crashed);
   reconfig::ReplaceOptions opts;
-  opts.max_rounds = options_.max_rounds;
-  opts.drain_us = options_.drain_us;
   opts.wait_for_restore = false;
   const reconfig::Shape shape{
       .script = "restore_from_checkpoint",

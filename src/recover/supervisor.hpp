@@ -42,10 +42,6 @@ struct SupervisorOptions {
   /// Period of background checkpoints of every watched module; 0 (default)
   /// takes checkpoints only on explicit checkpoint_now() calls.
   net::SimTime checkpoint_interval_us = 0;
-  /// Scheduling budget for each wait inside checkpoint/restore.
-  std::uint64_t max_rounds = 1'000'000;
-  /// Drain window used by checkpoints and restores.
-  net::SimTime drain_us = 10'000;
 };
 
 class Supervisor {

@@ -1,6 +1,10 @@
 #include "recover/wal.hpp"
 
 #include <algorithm>
+#include <span>
+#include <string>
+
+#include "support/bytes.hpp"
 
 namespace surgeon::recover {
 
@@ -15,98 +19,51 @@ enum : std::uint8_t {
 };
 
 using Record = net::DurableStore::Record;
+using support::ByteOrder;
+using support::ByteReader;
+using support::ByteWriter;
 
-void put_u8(Record& out, std::uint8_t v) { out.push_back(v); }
-
-void put_u32(Record& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back((v >> (8 * i)) & 0xFF);
+/// A record's writer, its type and transaction already written.
+ByteWriter record(std::uint8_t type, std::uint64_t txn) {
+  ByteWriter out(ByteOrder::kLittle);
+  out.put_u8(type);
+  out.put_u64(txn);
+  return out;
 }
 
-void put_u64(Record& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back((v >> (8 * i)) & 0xFF);
+/// A reader that ran past its record: the log is malformed.
+[[noreturn]] void truncated(const support::VmError& e) {
+  throw WalError(std::string("truncated WAL record: ") + e.what());
 }
-
-void put_str(Record& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-void put_bytes(Record& out, const std::vector<std::uint8_t>& bytes) {
-  put_u64(out, bytes.size());
-  out.insert(out.end(), bytes.begin(), bytes.end());
-}
-
-/// Bounds-checked cursor over one record.
-struct Reader {
-  const Record& rec;
-  std::size_t pos = 0;
-
-  [[nodiscard]] std::uint8_t u8() {
-    need(1);
-    return rec[pos++];
-  }
-  [[nodiscard]] std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{rec[pos++]} << (8 * i);
-    return v;
-  }
-  [[nodiscard]] std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{rec[pos++]} << (8 * i);
-    return v;
-  }
-  [[nodiscard]] std::string str() {
-    std::uint32_t n = u32();
-    need(n);
-    std::string s(rec.begin() + static_cast<std::ptrdiff_t>(pos),
-                  rec.begin() + static_cast<std::ptrdiff_t>(pos + n));
-    pos += n;
-    return s;
-  }
-  [[nodiscard]] std::vector<std::uint8_t> bytes() {
-    std::uint64_t n = u64();
-    need(n);
-    std::vector<std::uint8_t> b(
-        rec.begin() + static_cast<std::ptrdiff_t>(pos),
-        rec.begin() + static_cast<std::ptrdiff_t>(pos + n));
-    pos += n;
-    return b;
-  }
-  void need(std::uint64_t n) const {
-    if (pos + n > rec.size()) throw WalError("truncated WAL record");
-  }
-};
 
 }  // namespace
 
-void Wal::begin(const std::string& old_instance,
-                const std::string& new_instance, const std::string& machine) {
+void Wal::begin(const std::string& source, const reconfig::Shape& shape) {
   current_ = next_txn_id();
-  Record rec;
-  put_u8(rec, kBegin);
-  put_u64(rec, current_);
-  put_str(rec, old_instance);
-  put_str(rec, new_instance);
-  put_str(rec, machine);
-  store_->append(log_, std::move(rec));
+  ByteWriter out = record(kBegin, current_);
+  out.put_string(source);
+  out.put_u8(shape.restores_in_place ? 1 : 0);
+  out.put_u32(static_cast<std::uint32_t>(shape.clones.size()));
+  for (const reconfig::CloneSpec& clone : shape.clones) {
+    out.put_string(clone.name);
+    out.put_string(clone.machine);
+    out.put_u8(static_cast<std::uint8_t>(clone.bindings));
+    out.put_string(clone.holder);
+  }
+  store_->append(log_, std::move(out).take());
 }
 
 void Wal::intent(const char* step) {
-  Record rec;
-  put_u8(rec, kIntent);
-  put_u64(rec, current_);
-  put_str(rec, step);
-  store_->append(log_, std::move(rec));
+  ByteWriter out = record(kIntent, current_);
+  out.put_string(step);
+  store_->append(log_, std::move(out).take());
 }
 
 void Wal::divulged(const std::vector<std::uint8_t>& state) {
-  Record rec;
-  put_u8(rec, kDivulged);
-  put_u64(rec, current_);
-  put_bytes(rec, state);
-  store_->append(log_, std::move(rec));
+  ByteWriter out = record(kDivulged, current_);
+  out.put_u64(state.size());
+  out.put_raw(state);
+  store_->append(log_, std::move(out).take());
 }
 
 void Wal::committed() { mark_committed(current_); }
@@ -116,18 +73,13 @@ void Wal::aborted(const std::string& reason) {
 }
 
 void Wal::mark_committed(std::uint64_t txn) {
-  Record rec;
-  put_u8(rec, kCommitted);
-  put_u64(rec, txn);
-  store_->append(log_, std::move(rec));
+  store_->append(log_, record(kCommitted, txn).take());
 }
 
 void Wal::mark_aborted(std::uint64_t txn, const std::string& reason) {
-  Record rec;
-  put_u8(rec, kAborted);
-  put_u64(rec, txn);
-  put_str(rec, reason);
-  store_->append(log_, std::move(rec));
+  ByteWriter out = record(kAborted, txn);
+  out.put_string(reason);
+  store_->append(log_, std::move(out).take());
 }
 
 std::vector<WalTxn> Wal::scan() const {
@@ -140,36 +92,56 @@ std::vector<WalTxn> Wal::scan() const {
                    std::to_string(id));
   };
   for (const Record& raw : store_->log(log_)) {
-    Reader r{raw};
-    std::uint8_t type = r.u8();
-    std::uint64_t id = r.u64();
-    switch (type) {
-      case kBegin: {
-        WalTxn t;
-        t.id = id;
-        t.old_instance = r.str();
-        t.new_instance = r.str();
-        t.machine = r.str();
-        txns.push_back(std::move(t));
-        break;
+    ByteReader r(raw, ByteOrder::kLittle);
+    try {
+      const std::uint8_t type = r.get_u8();
+      const std::uint64_t id = r.get_u64();
+      switch (type) {
+        case kBegin: {
+          WalTxn t;
+          t.id = id;
+          t.source = r.get_string();
+          t.shape.restores_in_place = r.get_u8() != 0;
+          for (std::uint32_t n = r.get_u32(); n > 0; --n) {
+            reconfig::CloneSpec& clone = t.shape.clones.emplace_back();
+            clone.name = r.get_string();
+            clone.machine = r.get_string();
+            const std::uint8_t binding = r.get_u8();
+            if (binding > static_cast<std::uint8_t>(reconfig::Binding::kNone)) {
+              throw WalError("WAL begin record: binding " +
+                             std::to_string(binding) + " out of range");
+            }
+            clone.bindings = static_cast<reconfig::Binding>(binding);
+            clone.holder = r.get_string();
+          }
+          if (t.shape.clones.empty()) {
+            throw WalError("WAL begin record names no clone");
+          }
+          txns.push_back(std::move(t));
+          break;
+        }
+        case kIntent:
+          find(id).steps.push_back(r.get_string());
+          break;
+        case kDivulged: {
+          const std::span<const std::uint8_t> state = r.get_raw(r.get_u64());
+          find(id).shape.state.emplace(state.begin(), state.end());
+          break;
+        }
+        case kCommitted:
+          find(id).committed = true;
+          break;
+        case kAborted: {
+          WalTxn& t = find(id);
+          t.aborted = true;
+          t.abort_reason = r.get_string();
+          break;
+        }
+        default:
+          throw WalError("unknown WAL record type " + std::to_string(type));
       }
-      case kIntent:
-        find(id).steps.push_back(r.str());
-        break;
-      case kDivulged:
-        find(id).state = r.bytes();
-        break;
-      case kCommitted:
-        find(id).committed = true;
-        break;
-      case kAborted: {
-        WalTxn& t = find(id);
-        t.aborted = true;
-        t.abort_reason = r.str();
-        break;
-      }
-      default:
-        throw WalError("unknown WAL record type " + std::to_string(type));
+    } catch (const support::VmError& e) {
+      truncated(e);
     }
   }
   return txns;
@@ -185,9 +157,13 @@ std::optional<WalTxn> Wal::open_transaction() const {
 std::uint64_t Wal::next_txn_id() const {
   std::uint64_t max_id = 0;
   for (const Record& raw : store_->log(log_)) {
-    Reader r{raw};
-    (void)r.u8();
-    max_id = std::max(max_id, r.u64());
+    ByteReader r(raw, ByteOrder::kLittle);
+    try {
+      (void)r.get_u8();
+      max_id = std::max(max_id, r.get_u64());
+    } catch (const support::VmError& e) {
+      truncated(e);
+    }
   }
   return max_id + 1;
 }

@@ -5,7 +5,7 @@
 // After a coordinator crash, a successor scans the log, finds the open
 // transaction, and knows exactly how far the script got:
 //
-//   begin txn     old/new instance names, target machine
+//   begin txn     the source and the run's whole reconfig::Shape
 //   intent step   about to execute <step> (obj_cap .. del, commit)
 //   divulged      the old module's abstract state buffer -- the
 //                 roll-forward watershed: once this record is durable the
@@ -15,9 +15,12 @@
 //
 // Record wire format (append-only, one DurableStore record per entry):
 //   u8 type | u64 txn | type-specific payload
-// with strings as u32 length + bytes and the state buffer as u64 length +
-// bytes. Everything little-endian, written byte by byte so the format is
-// identical on every simulated architecture.
+// with strings as u32 length + bytes, the state buffer as u64 length +
+// bytes, and the begin record's shape as
+//   str source | u8 restores_in_place | u32 clones |
+//   clones x (str name | str machine | u8 binding | str holder).
+// Everything little-endian, so the format is identical on every simulated
+// architecture.
 #pragma once
 
 #include <cstdint>
@@ -39,11 +42,10 @@ class WalError : public support::Error {
 /// One replacement transaction reconstructed from the log.
 struct WalTxn {
   std::uint64_t id = 0;
-  std::string old_instance;
-  std::string new_instance;
-  std::string machine;         // requested target ("" = stay in place)
+  std::string source;
+  /// The run's shape, clones named; its state is the divulged record.
+  reconfig::Shape shape;
   std::vector<std::string> steps;  // intent records, in order
-  std::optional<std::vector<std::uint8_t>> state;  // divulged bytes
   bool committed = false;
   bool aborted = false;
   std::string abort_reason;
@@ -68,8 +70,8 @@ class Wal : public reconfig::ScriptJournal {
 
   // --- write side (reconfig::ScriptJournal) --------------------------------
 
-  void begin(const std::string& old_instance, const std::string& new_instance,
-             const std::string& machine) override;
+  void begin(const std::string& source,
+             const reconfig::Shape& shape) override;
   void intent(const char* step) override;
   void divulged(const std::vector<std::uint8_t>& state) override;
   void committed() override;
@@ -78,7 +80,8 @@ class Wal : public reconfig::ScriptJournal {
   // --- read side -----------------------------------------------------------
 
   /// Every transaction in the log, in id order. Throws WalError on a
-  /// malformed record.
+  /// malformed record: one cut short, of an unknown type or transaction, or
+  /// a begin record with no clone or a binding byte outside the enum.
   [[nodiscard]] std::vector<WalTxn> scan() const;
   /// The open (neither committed nor aborted) transaction, if any. The
   /// script is sequential, so at most one can be open.

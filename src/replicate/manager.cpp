@@ -153,9 +153,6 @@ bool GroupManager::rebuild_machine(const std::string& machine) {
       }
       reconfig::ReplaceOptions opts;
       opts.machine = target;
-      opts.journal = options_.journal;
-      opts.crash_hook = options_.crash_hook;
-      opts.drain_us = options_.drain_us;
       opts.divulge_timeout_us = options_.divulge_timeout_us;
       opts.restore_timeout_us = options_.restore_timeout_us;
       opts.nudge = [&router, g] { router.nudge(g); };

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <set>
 #include <string>
@@ -33,9 +32,6 @@ struct ManagerOptions {
   /// Machines eligible to replace a dead one, tried in order.
   std::vector<std::string> spares;
   /// Forwarded to every rebuild_group invocation.
-  reconfig::ScriptJournal* journal = nullptr;
-  std::function<void(const char*)> crash_hook;
-  net::SimTime drain_us = 10'000;
   net::SimTime divulge_timeout_us = 5'000'000;
   net::SimTime restore_timeout_us = 10'000'000;
 };

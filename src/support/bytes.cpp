@@ -58,6 +58,13 @@ std::string ByteReader::get_string() {
   return s;
 }
 
+std::span<const std::uint8_t> ByteReader::get_raw(std::size_t n) {
+  require(n);
+  const std::span<const std::uint8_t> raw = bytes_.subspan(pos_, n);
+  pos_ += n;
+  return raw;
+}
+
 void store_u64(std::uint8_t* dst, std::uint64_t v, ByteOrder order) noexcept {
   for (int i = 0; i < 8; ++i) {
     int shift = (order == ByteOrder::kBig) ? (7 - i) * 8 : i * 8;

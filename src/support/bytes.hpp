@@ -68,6 +68,8 @@ class ByteReader {
   }
   [[nodiscard]] double get_f64();
   [[nodiscard]] std::string get_string();
+  /// The next `n` bytes, as they are.
+  [[nodiscard]] std::span<const std::uint8_t> get_raw(std::size_t n);
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return bytes_.size() - pos_;

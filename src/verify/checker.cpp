@@ -139,7 +139,7 @@ const char* outcome_violation(Outcome outcome, const AbsState& s) {
     if (!s.aborted) return "the plan never aborted";
     if (s.committed) return "aborted after committing";
     if (s.old_life != OldLife::kActive || !s.bound_to_old ||
-        s.clone != CloneLife::kAbsent) {
+        s.clone != CloneLife::kAbsent || s.replica != CloneLife::kAbsent) {
       return "abort did not restore the pre-script configuration";
     }
   }

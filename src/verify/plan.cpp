@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 
 #include "reconfig/scripts.hpp"
 
@@ -176,6 +175,9 @@ std::vector<PreViolation> precondition(Prim prim, const AbsState& s) {
       need(s.clone == CloneLife::kAbsent ||
                s.clone == CloneLife::kRegistered,
            6, "a started clone cannot be silently discarded");
+      need(s.replica == CloneLife::kAbsent ||
+               s.replica == CloneLife::kRegistered,
+           6, "a started replica cannot be silently discarded");
       break;
     case Prim::kCloneCrashed:
       need(s.clone == CloneLife::kRegistered ||
@@ -298,6 +300,7 @@ void apply(Prim prim, AbsState& s, bool journaled) {
       break;
     case Prim::kAbortRollback:
       s.clone = CloneLife::kAbsent;
+      s.replica = CloneLife::kAbsent;
       s.aborted = true;
       s.txn_open = false;
       break;
@@ -347,7 +350,6 @@ namespace {
 using reconfig::Action;
 using reconfig::Binding;
 using reconfig::Shape;
-using reconfig::StepRow;
 
 /// The model's primitive for one engine row; a second clone plays the
 /// abstract state's replica.
@@ -379,44 +381,31 @@ Prim prim_of(Action action, bool replica, Binding bindings) {
   return Prim::kCommit;
 }
 
-/// `shape`'s rows of the engine's step table, in run order. A row reads
-/// "step", or "step.action" when its step runs several table rows; a second
-/// clone's rows read "heir.action" when it adopts a dead member and
-/// "replica.action" otherwise, and a `prefix` replaces the step. When
-/// journaled, the begin row carries "begin" and the first row of each step
-/// the intent written before it (reconfig::journal_intents).
+/// `shape`'s rows of the engine's step table (reconfig::shape_rows), in run
+/// order. A row reads "step", or "step.action" when its step runs several
+/// table rows; a second clone's rows read "heir.action" when it adopts a
+/// dead member and "replica.action" otherwise, and a `prefix` replaces the
+/// step (a second clone's role follows it). When journaled, the begin row
+/// carries "begin" and each row that writes an intent carries its step.
 std::vector<Step> engine_steps(const Shape& shape, bool journaled,
                                const std::string& prefix = "") {
-  std::vector<std::pair<const StepRow*, std::size_t>> rows;
-  for (const StepRow& row : reconfig::kStepTable) {
-    for (std::size_t i = 0; i < (row.per_clone ? shape.clones.size() : 1);
-         ++i) {
-      if (reconfig::row_applies(row, shape, journaled, i)) {
-        rows.emplace_back(&row, i);
-      }
-    }
-  }
-  const std::vector<const char*> intents =
-      journaled ? reconfig::journal_intents(shape) : std::vector<const char*>{};
-  auto intent = intents.begin();
+  const std::vector<reconfig::RowRun> rows =
+      reconfig::shape_rows(shape, journaled);
   std::vector<Step> steps;
-  for (const auto& [row, i] : rows) {
+  for (const auto& [row, i, intent] : rows) {
     const bool alone = std::all_of(rows.begin(), rows.end(), [&](auto& r) {
-      return r.first == row || r.first->step != row->step;
+      return r.row == row || r.row->step != row->step;
     });
     const char* role =
         shape.clones[i].bindings == Binding::kAdopt ? "heir." : "replica.";
     const std::string label =
-        !prefix.empty() ? prefix + row->label
-        : i != 0        ? role + std::string(row->label)
-        : alone         ? std::string(row->step)
-                        : std::string(row->step) + "." + row->label;
-    const char* journal = row->action == Action::kBegin ? row->step : "";
-    if (intent != intents.end() && std::string_view(*intent) == row->step) {
-      journal = *intent++;
-    }
+        i != 0            ? prefix + role + row->label
+        : !prefix.empty() ? prefix + row->label
+        : alone           ? std::string(row->step)
+                          : std::string(row->step) + "." + row->label;
+    const bool journal = row->action == Action::kBegin || (journaled && intent);
     steps.push_back({prim_of(row->action, i != 0, shape.clones[i].bindings),
-                     label, journal});
+                     label, journal ? row->step : ""});
   }
   return steps;
 }
@@ -449,15 +438,29 @@ Plan engine_plan(std::string name, std::string description,
               Outcome::kCommitted, engine_steps(shape, journaled)};
 }
 
-/// recover_coordinator's roll-forward after a crash at the add boundary: the
-/// successor re-enters the engine with the WAL's state record. Its rows
-/// before the delivery only re-read what the dead coordinator set up (each
-/// probes live state first), and the rebind it already applied degenerates
-/// to a sweep of straggler messages.
-std::vector<Step> rollforward_steps() {
-  Shape resumed = reconfig::replace_shape();
-  resumed.state.emplace();
-  std::vector<Step> steps = engine_steps(resumed, false, "recover.");
+/// `run`'s coordinator dies at the objstate_move boundary, before the
+/// watershed: the successor scans the WAL and runs the engine's rollback,
+/// which removes every logged clone (recover::recover_coordinator).
+Plan recover_rollback(std::string name, std::string description,
+                      const Plan& run) {
+  return Plan{std::move(name), std::move(description), /*journaled=*/true,
+              Outcome::kAborted,
+              splice(run.steps, Prim::kSignal,
+                     {{Prim::kCoordinatorCrash, "crash", ""},
+                      {Prim::kRestartFromWal, "recover.scan", ""},
+                      {Prim::kAbortRollback, "recover.rollback", "abort"}},
+                     true)};
+}
+
+/// `run` (of `shape`)'s coordinator dies at the add boundary, past the
+/// watershed: the successor re-enters the engine with the logged shape and
+/// the WAL's state record. Its rows before the delivery only re-read what
+/// the dead coordinator set up (each probes live state first), and the
+/// rebind it already applied degenerates to a sweep of straggler messages.
+Plan recover_rollforward(std::string name, std::string description,
+                         const Plan& run, Shape shape) {
+  shape.state.emplace();
+  std::vector<Step> steps = engine_steps(shape, false, "recover.");
   steps.erase(steps.begin(),
               std::find_if(steps.begin(), steps.end(), [](const Step& s) {
                 return s.prim == Prim::kDeliverState;
@@ -467,7 +470,9 @@ std::vector<Step> rollforward_steps() {
   }
   steps.insert(steps.begin(), {{Prim::kCoordinatorCrash, "crash", ""},
                                {Prim::kRestartFromWal, "recover.scan", ""}});
-  return steps;
+  return Plan{std::move(name), std::move(description), /*journaled=*/true,
+              Outcome::kCommitted,
+              splice(run.steps, Prim::kStartClone, steps, true)};
 }
 
 }  // namespace
@@ -519,23 +524,18 @@ std::vector<Plan> shipped_plans() {
                      {{Prim::kCloneCrashed, "clone_crash", ""},
                       {Prim::kRetrySwap, "retry_swap", ""}},
                      false)),
-      derived("recover_rollback",
-              "coordinator dies before the watershed; the successor scans "
-              "the WAL, removes the clone, and the old instance keeps "
-              "serving (recover::recover_coordinator)",
-              Outcome::kAborted,
-              splice(replace.steps, Prim::kSignal,
-                     {{Prim::kCoordinatorCrash, "crash", ""},
-                      {Prim::kRestartFromWal, "recover.scan", ""},
-                      {Prim::kAbortRollback, "recover.rollback", "abort"}},
-                     true)),
-      derived("recover_rollforward",
-              "coordinator dies after the watershed; the successor finishes "
-              "the script from the WAL: re-deliver, rebind remnants, start, "
-              "retire (recover::recover_coordinator)",
-              Outcome::kCommitted,
-              splice(replace.steps, Prim::kStartClone, rollforward_steps(),
-                     true)),
+      recover_rollback(
+          "recover_rollback",
+          "coordinator dies before the watershed; the successor scans the "
+          "WAL, removes the clone, and the old instance keeps serving "
+          "(recover::recover_coordinator)",
+          replace),
+      recover_rollforward(
+          "recover_rollforward",
+          "coordinator dies after the watershed; the successor finishes the "
+          "script from the WAL: re-deliver, rebind remnants, start, retire "
+          "(recover::recover_coordinator)",
+          replace, reconfig::replace_shape()),
       engine_plan("replicate",
                   "replication: divulge once, install the state in a "
                   "replacing clone AND a fresh replica "
@@ -553,6 +553,19 @@ std::vector<Plan> shipped_plans() {
                   "old instance retires once the clone serves "
                   "(reconfig::replace_module over a native module)",
                   reconfig::native_shape()),
+      recover_rollback(
+          "group_rebuild_recover_rollback",
+          "a group rebuild's coordinator dies before the watershed; the "
+          "successor scans the WAL, removes both logged clones, and the "
+          "survivor keeps serving (recover::recover_coordinator)",
+          rebuild),
+      recover_rollforward(
+          "group_rebuild_recover_rollforward",
+          "a group rebuild's coordinator dies after the watershed; the "
+          "successor re-enters the engine with the logged two-clone shape: "
+          "re-deliver, rebind remnants, start both clones, retire the "
+          "survivor and the corpse (recover::recover_coordinator)",
+          rebuild, reconfig::rebuild_shape()),
   };
 }
 

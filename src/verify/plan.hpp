@@ -99,7 +99,7 @@ enum class Prim : std::uint8_t {
   kRemoveOld,        // mh_chg_obj "del": retire the old instance
   kAwaitRestore,     // clone finished installing the state
   kCommit,           // close the transaction (commit record)
-  kAbortRollback,    // pre-divulge rollback: clone gone, old keeps serving
+  kAbortRollback,    // pre-divulge rollback: clones gone, old keeps serving
   kCloneCrashed,     // environment: the clone process died
   kRetrySwap,        // retry chain: fresh clone adopts bindings + state
   kCoordinatorCrash, // environment: the coordinator process died
@@ -192,7 +192,9 @@ struct Plan {
 ///   replicate -- a primary plus a replica copying the bindings;
 ///   group_rebuild -- a member died with its machine: the survivor's
 ///     continuation plus an heir that adopts the dead member's bindings;
-///   replace_native -- the collector/monitor swap, restoring in place.
+///   replace_native -- the collector/monitor swap, restoring in place;
+///   group_rebuild_recover_rollback, group_rebuild_recover_rollforward --
+///     the recovery pair derived from the rebuild's shape, as for replace.
 [[nodiscard]] std::vector<Plan> shipped_plans();
 /// The shipped plan called `name`; throws std::out_of_range for none.
 [[nodiscard]] Plan shipped_plan(const std::string& name);

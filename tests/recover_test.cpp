@@ -7,6 +7,7 @@
 // message starts with the scenario's describe() line for replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -26,6 +27,7 @@
 #include "recover/wal.hpp"
 #include "reconfig/scripts.hpp"
 #include "support/diag.hpp"
+#include "support/rng.hpp"
 
 namespace surgeon {
 namespace {
@@ -34,10 +36,24 @@ using app::Runtime;
 
 // --- write-ahead log --------------------------------------------------------
 
+/// `shape` as a run logs it: clone k named `names[k]`.
+reconfig::Shape named(reconfig::Shape shape,
+                      const std::vector<std::string>& names) {
+  for (std::size_t k = 0; k < names.size(); ++k) {
+    shape.clones.at(k).name = names[k];
+  }
+  return shape;
+}
+
+reconfig::Shape logged_replace(const std::string& clone,
+                               const std::string& machine = "") {
+  return named(reconfig::replace_shape(machine), {clone});
+}
+
 TEST(Wal, CommittedTransactionRoundTrips) {
   net::DurableStore store;
   recover::Wal wal(store);
-  wal.begin("server", "server@2", "sparc");
+  wal.begin("server", logged_replace("server@2", "sparc"));
   wal.intent(reconfig::kStepObjCap);
   wal.intent(reconfig::kStepObjstateMove);
   wal.divulged({1, 2, 3, 4});
@@ -48,14 +64,16 @@ TEST(Wal, CommittedTransactionRoundTrips) {
   ASSERT_EQ(txns.size(), 1u);
   const recover::WalTxn& t = txns[0];
   EXPECT_EQ(t.id, 1u);
-  EXPECT_EQ(t.old_instance, "server");
-  EXPECT_EQ(t.new_instance, "server@2");
-  EXPECT_EQ(t.machine, "sparc");
+  EXPECT_EQ(t.source, "server");
+  ASSERT_EQ(t.shape.clones.size(), 1u);
+  EXPECT_EQ(t.shape.clones[0].name, "server@2");
+  EXPECT_EQ(t.shape.clones[0].machine, "sparc");
+  EXPECT_EQ(t.shape.clones[0].bindings, reconfig::Binding::kInherit);
   ASSERT_EQ(t.steps.size(), 3u);
   EXPECT_EQ(t.steps.front(), reconfig::kStepObjCap);
   EXPECT_EQ(t.last_step(), reconfig::kStepCommit);
-  ASSERT_TRUE(t.state.has_value());
-  EXPECT_EQ(*t.state, (std::vector<std::uint8_t>{1, 2, 3, 4}));
+  ASSERT_TRUE(t.shape.state.has_value());
+  EXPECT_EQ(*t.shape.state, (std::vector<std::uint8_t>{1, 2, 3, 4}));
   EXPECT_TRUE(t.committed);
   EXPECT_FALSE(t.open());
   EXPECT_FALSE(wal.open_transaction().has_value());
@@ -65,7 +83,7 @@ TEST(Wal, CommittedTransactionRoundTrips) {
 TEST(Wal, OpenTransactionExposesProgress) {
   net::DurableStore store;
   recover::Wal wal(store);
-  wal.begin("server", "server@2", "");
+  wal.begin("server", logged_replace("server@2"));
   wal.intent(reconfig::kStepObjCap);
   wal.intent(reconfig::kStepCloneRegister);
   // The coordinator dies here: no divulged record, no commit.
@@ -73,14 +91,14 @@ TEST(Wal, OpenTransactionExposesProgress) {
   ASSERT_TRUE(open.has_value());
   EXPECT_EQ(open->id, 1u);
   EXPECT_EQ(open->last_step(), reconfig::kStepCloneRegister);
-  EXPECT_FALSE(open->state.has_value());
+  EXPECT_FALSE(open->shape.state.has_value());
   EXPECT_TRUE(open->open());
 }
 
 TEST(Wal, AbortClosesTransaction) {
   net::DurableStore store;
   recover::Wal wal(store);
-  wal.begin("server", "server@2", "");
+  wal.begin("server", logged_replace("server@2"));
   wal.intent(reconfig::kStepObjstateMove);
   wal.aborted("divulge timeout");
   std::vector<recover::WalTxn> txns = wal.scan();
@@ -94,11 +112,11 @@ TEST(Wal, IdsContinueAcrossCoordinatorRestarts) {
   net::DurableStore store;
   {
     recover::Wal wal(store);
-    wal.begin("a", "a@2", "");
+    wal.begin("a", logged_replace("a@2"));
     wal.committed();
   }
   recover::Wal successor(store);  // restarted coordinator, same disk
-  successor.begin("b", "b@2", "");
+  successor.begin("b", logged_replace("b@2"));
   successor.aborted("rolled back");
   std::vector<recover::WalTxn> txns = successor.scan();
   ASSERT_EQ(txns.size(), 2u);
@@ -110,13 +128,67 @@ TEST(Wal, IdsContinueAcrossCoordinatorRestarts) {
 TEST(Wal, MarkCommittedClosesScannedTransaction) {
   net::DurableStore store;
   recover::Wal wal(store);
-  wal.begin("server", "server@2", "");
+  wal.begin("server", logged_replace("server@2"));
   wal.intent(reconfig::kStepRebind);
   std::optional<recover::WalTxn> open = wal.open_transaction();
   ASSERT_TRUE(open.has_value());
   wal.mark_committed(open->id);
   EXPECT_FALSE(wal.open_transaction().has_value());
   EXPECT_TRUE(wal.scan()[0].committed);
+}
+
+// The begin record carries the whole shape: every clone's name, machine,
+// binding source and holder, and whether the clones restore in place.
+TEST(Wal, BeginRecordCarriesTheWholeShape) {
+  net::DurableStore store;
+  recover::Wal wal(store);
+  const reconfig::Shape rebuild =
+      named(reconfig::rebuild_shape("s0x0", "sp0"), {"s0x1@2", "s0x1@3"});
+  wal.begin("s0x1", rebuild);
+  const reconfig::Shape native =
+      named(reconfig::native_shape("sparc"), {"collector#2"});
+  wal.begin("collector", native);
+  const std::vector<recover::WalTxn> txns = wal.scan();
+  ASSERT_EQ(txns.size(), 2u);
+  const auto expect_logged = [](const recover::WalTxn& t,
+                                const std::string& source,
+                                const reconfig::Shape& shape) {
+    EXPECT_EQ(t.source, source);
+    EXPECT_EQ(t.shape.restores_in_place, shape.restores_in_place);
+    ASSERT_EQ(t.shape.clones.size(), shape.clones.size());
+    for (std::size_t k = 0; k < shape.clones.size(); ++k) {
+      EXPECT_EQ(t.shape.clones[k].name, shape.clones[k].name);
+      EXPECT_EQ(t.shape.clones[k].machine, shape.clones[k].machine);
+      EXPECT_EQ(t.shape.clones[k].bindings, shape.clones[k].bindings);
+      EXPECT_EQ(t.shape.clones[k].holder, shape.clones[k].holder);
+    }
+  };
+  expect_logged(txns[0], "s0x1", rebuild);
+  expect_logged(txns[1], "collector", native);
+}
+
+/// A log with one record of every type, as the write side produces it.
+std::vector<net::DurableStore::Record> every_record_type() {
+  net::DurableStore store;
+  recover::Wal wal(store);
+  wal.begin("s0x1", named(reconfig::rebuild_shape("s0x0", "sp0"),
+                          {"s0x1@2", "s0x1@3"}));
+  wal.intent(reconfig::kStepObjCap);
+  wal.divulged({1, 2, 3, 4, 5});
+  wal.committed();
+  wal.begin("server", logged_replace("server@2", "sparc"));
+  wal.aborted("divulge timeout");
+  return store.log(wal.log_name());
+}
+
+/// `log` with record `at` replaced by `record`.
+net::DurableStore with_record(std::vector<net::DurableStore::Record> log,
+                              std::size_t at,
+                              net::DurableStore::Record record) {
+  log[at] = std::move(record);
+  net::DurableStore store;
+  for (auto& r : log) store.append("reconfig.wal", std::move(r));
+  return store;
 }
 
 TEST(Wal, MalformedRecordsThrow) {
@@ -130,6 +202,69 @@ TEST(Wal, MalformedRecordsThrow) {
                 {99, 1, 0, 0, 0, 0, 0, 0, 0});  // unknown record type
   recover::Wal wal2(store2);
   EXPECT_THROW((void)wal2.scan(), recover::WalError);
+
+  // A divulged record whose length field is 2^64 - 1: the length must not
+  // wrap a bounds check into a read past the record.
+  const std::vector<net::DurableStore::Record> log = every_record_type();
+  net::DurableStore::Record huge = log[2];
+  std::fill(huge.begin() + 9, huge.begin() + 17, std::uint8_t{0xff});
+  net::DurableStore store3 = with_record(log, 2, huge);
+  EXPECT_THROW((void)recover::Wal(store3).scan(), recover::WalError);
+
+  // A begin record whose first clone's binding byte is outside the enum:
+  // type, txn, "s0x1", in-place flag, clone count, "s0x1@2", "" machine.
+  net::DurableStore::Record binding = log[0];
+  binding[9 + 8 + 1 + 4 + 10 + 4] = 7;
+  net::DurableStore store4 = with_record(log, 0, binding);
+  EXPECT_THROW((void)recover::Wal(store4).scan(), recover::WalError);
+}
+
+// Truncated, bit-flipped, length-mutated and randomly mutated copies of
+// every record type, one record at a time inside an otherwise valid log: a
+// scan either succeeds or throws WalError -- never another exception, a
+// crash, or an absurd allocation.
+TEST(Wal, FuzzedLogsNeverCrashTheScan) {
+  const std::vector<net::DurableStore::Record> log = every_record_type();
+  std::size_t scans = 0;
+  auto try_scan = [&](std::size_t at, net::DurableStore::Record record) {
+    net::DurableStore store = with_record(log, at, std::move(record));
+    ++scans;
+    try {
+      (void)recover::Wal(store).scan();
+    } catch (const recover::WalError&) {
+      // expected for a corrupt record
+    }
+  };
+  support::SplitMix64 rng(23);
+  for (std::size_t at = 0; at < log.size(); ++at) {
+    const net::DurableStore::Record& valid = log[at];
+    for (std::size_t i = 0; i < valid.size(); ++i) {
+      try_scan(at, {valid.begin(),
+                    valid.begin() + static_cast<std::ptrdiff_t>(i)});
+      for (int bit = 0; bit < 8; ++bit) {
+        net::DurableStore::Record flipped = valid;
+        flipped[i] ^= static_cast<std::uint8_t>(1u << bit);
+        try_scan(at, flipped);
+      }
+      // A length (or count) field read at offset i becomes huge.
+      for (const std::uint8_t fill : {std::uint8_t{0xff}, std::uint8_t{0x7f}}) {
+        net::DurableStore::Record lengthy = valid;
+        for (std::size_t k = i; k < std::min(i + 8, valid.size()); ++k) {
+          lengthy[k] = fill;
+        }
+        try_scan(at, lengthy);
+      }
+    }
+    for (int round = 0; round < 100; ++round) {
+      net::DurableStore::Record mutated = valid;
+      for (int n = 1 + static_cast<int>(rng.next_below(4)); n > 0; --n) {
+        mutated[rng.next_below(mutated.size())] =
+            static_cast<std::uint8_t>(rng.next());
+      }
+      try_scan(at, mutated);
+    }
+  }
+  EXPECT_GT(scans, 2'000u);
 }
 
 // --- failure detector -------------------------------------------------------
@@ -333,7 +468,7 @@ TEST(Recovery, StateRedeliveredFromWalWhenMailboxLost) {
   ASSERT_TRUE(cr.rt->bus().take_incoming_state("server@2").has_value());
   std::optional<recover::WalTxn> open = cr.wal->open_transaction();
   ASSERT_TRUE(open.has_value());
-  ASSERT_TRUE(open->state.has_value());  // the watershed record is durable
+  ASSERT_TRUE(open->shape.state.has_value());  // the watershed is durable
   recover::RecoveryReport rep = recover::recover_coordinator(*cr.rt, *cr.wal);
   EXPECT_TRUE(rep.rolled_forward);
   EXPECT_TRUE(rep.restored);

@@ -1,12 +1,15 @@
 // Unit tests for surgeon::verify: the primitives' pre/postconditions, the
 // static plan checker over every shipped script, the seeded broken plan
 // (rebind before divulge -> invariant 3), the golden-pinned plan_check
-// diagnostics, and the journal-boundary conformance that ties each plan to
-// the real script it models.
+// diagnostics, the journal-boundary conformance that ties each plan to the
+// real script it models, and a journaled group rebuild recovered from a
+// coordinator crash at every boundary its plans cross.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <functional>
+#include <set>
 #include <sstream>
 #include <string_view>
 
@@ -15,6 +18,8 @@
 #include "cfg/parser.hpp"
 #include "profile/telemetry.hpp"
 #include "reconfig/scripts.hpp"
+#include "recover/recovery.hpp"
+#include "recover/wal.hpp"
 #include "replicate/kv.hpp"
 #include "replicate/rebuild.hpp"
 #include "verify/checker.hpp"
@@ -107,9 +112,13 @@ TEST(Primitives, RemoveOldGuardsContinuity) {
 TEST(Primitives, AbortRollbackOnlyBeforeTheWatershed) {
   AbsState s;
   s.clone = CloneLife::kRegistered;
+  s.replica = CloneLife::kRegistered;
   s.txn_open = true;
   EXPECT_TRUE(precondition(Prim::kAbortRollback, s).empty());
   EXPECT_TRUE(violates(precondition(Prim::kAbortRollback, at_divulged()), 2));
+  // A started replica (a rebuild's heir) cannot be discarded either.
+  s.replica = CloneLife::kStarted;
+  EXPECT_TRUE(violates(precondition(Prim::kAbortRollback, s), 6));
 }
 
 TEST(Primitives, CommitRequiresTheFinishedConfiguration) {
@@ -212,10 +221,12 @@ TEST(Primitives, AbortRestoresThePreScriptConfiguration) {
   AbsState s;
   s.txn_open = true;
   s.clone = CloneLife::kRegistered;
+  s.replica = CloneLife::kRegistered;
   apply(Prim::kAbortRollback, s, true);
   EXPECT_TRUE(s.aborted);
   EXPECT_FALSE(s.txn_open);
   EXPECT_EQ(s.clone, CloneLife::kAbsent);
+  EXPECT_EQ(s.replica, CloneLife::kAbsent);
   EXPECT_EQ(s.old_life, OldLife::kActive);
   EXPECT_TRUE(s.bound_to_old);
   EXPECT_TRUE(invariant_holds(4, s));
@@ -239,13 +250,15 @@ TEST(Checker, EveryShippedPlanPasses) {
 
 TEST(Checker, ShippedPlanCountAndNamesAreStable) {
   const std::vector<Plan> plans = shipped_plans();
-  ASSERT_EQ(plans.size(), 11u);
+  ASSERT_EQ(plans.size(), 13u);
   EXPECT_EQ(plans[0].name, "replace");
   EXPECT_EQ(plans[5].name, "recover_rollback");
   EXPECT_EQ(plans[6].name, "recover_rollforward");
   EXPECT_EQ(plans[8].name, "group_rebuild");
   EXPECT_EQ(plans[9].name, "rebalance");
   EXPECT_EQ(plans[10].name, "replace_native");
+  EXPECT_EQ(plans[11].name, "group_rebuild_recover_rollback");
+  EXPECT_EQ(plans[12].name, "group_rebuild_recover_rollforward");
 }
 
 TEST(Checker, EstablishedStatusAppearsWhereAnInvariantFlipsOn) {
@@ -295,6 +308,19 @@ TEST(Checker, BrokenAdoptPlanFailsWithInvariant7) {
   EXPECT_NE(report.to_json().find("\"invariant\":7"), std::string::npos);
 }
 
+// The orphan a rollback of one clone leaves: an aborted plan that ends with
+// a replica registered fails its outcome, as one with the clone does.
+TEST(Checker, AbortThatLeavesTheReplicaRegisteredFails) {
+  Plan plan = shipped_plan("group_rebuild_recover_rollback");
+  EXPECT_TRUE(check_plan(plan).ok);
+  plan.steps.push_back({Prim::kRegisterReplica, "orphan", ""});
+  const PlanReport report = check_plan(plan);
+  EXPECT_FALSE(report.ok);
+  ASSERT_EQ(report.violations.size(), 1u) << report.to_text();
+  EXPECT_EQ(report.violations[0].kind, "outcome");
+  EXPECT_EQ(report.violations[0].invariant, 6);
+}
+
 TEST(Checker, JsonIsWellFormedEnoughForTheCiGate) {
   const PlanReport report = check_plan(shipped_plan("replace"));
   const std::string json = report.to_json();
@@ -329,8 +355,7 @@ TEST(Checker, PlanCheckOutputMatchesGolden) {
 /// currency as Plan::journal_boundaries().
 class RecordingJournal : public reconfig::ScriptJournal {
  public:
-  void begin(const std::string&, const std::string&,
-             const std::string&) override {
+  void begin(const std::string&, const reconfig::Shape&) override {
     boundaries.push_back("begin");
   }
   void intent(const char* step) override { boundaries.push_back(step); }
@@ -385,6 +410,18 @@ struct LostMember {
     dead = members.at(0);
     survivor = members.at(1);
     (void)rt.crash_machine(rt.bus().module_info(dead).machine);
+  }
+
+  /// rebuild_group onto the spare, nudging the group toward the divulge.
+  reconfig::ReplaceReport rebuild(reconfig::ReplaceOptions options) {
+    options.machine = "sp0";
+    options.nudge = [this] { service->router().nudge(0); };
+    return replicate::rebuild_group(rt, survivor, dead, options);
+  }
+
+  [[nodiscard]] std::set<std::string> registered() {
+    const auto names = rt.bus().module_names();
+    return {names.begin(), names.end()};
   }
 };
 
@@ -447,10 +484,7 @@ TEST(Conformance, EveryJournaledConfigurationMatchesItsPlan) {
       {shipped_plan("group_rebuild"),
        [](reconfig::ReplaceOptions& options) {
          LostMember group;
-         options.machine = "sp0";
-         options.nudge = [&group] { group.service->router().nudge(0); };
-         (void)replicate::rebuild_group(group.rt, group.survivor, group.dead,
-                                        options);
+         (void)group.rebuild(options);
        }},
       {shipped_plan("replace_native"),
        [](reconfig::ReplaceOptions& options) {
@@ -477,6 +511,83 @@ TEST(Conformance, EveryJournaledConfigurationMatchesItsPlan) {
     EXPECT_EQ(journal.committed_records, closed) << c.plan.name;
   }
 }
+
+// --- a journaled rebuild whose coordinator dies ------------------------------
+
+const std::vector<const char*> kRebuildBoundaries =
+    reconfig::journal_intents(reconfig::rebuild_shape());
+
+/// The coordinator of a journaled rebuild dies at one journal boundary, and
+/// recover_coordinator finishes from the WAL, as group_rebuild's recovery
+/// plans promise. Before the divulge the rebuild rolls back to the modules
+/// registered before it; after it, the group ends as a crash-free rebuild
+/// leaves it, and the client finishes.
+class RebuildCoordinatorKill : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RebuildCoordinatorKill, RecoveryLeavesTheGroupWhole) {
+  const std::string boundary = kRebuildBoundaries[GetParam()];
+  // Past the objstate_move boundary the state is divulged: roll forward.
+  const auto divulge =
+      std::find(kRebuildBoundaries.begin(), kRebuildBoundaries.end(),
+                std::string_view(reconfig::kStepObjstateMove));
+  const bool forward = GetParam() > static_cast<std::size_t>(
+                                        divulge - kRebuildBoundaries.begin());
+  std::set<std::string> rebuilt;
+  std::vector<std::string> clones;
+  {
+    LostMember clean;
+    clones = clean.rebuild({}).clones;
+    rebuilt = clean.registered();
+  }
+
+  LostMember group;
+  const std::set<std::string> before = group.registered();
+  app::Runtime& rt = group.rt;
+  recover::Wal wal(rt.simulator().durable_store("ctl"));
+  reconfig::ReplaceOptions options;
+  options.journal = &wal;
+  options.crash_hook = [&boundary](const char* step) {
+    if (step == boundary) {
+      throw recover::CoordinatorCrash("test: died at " + boundary);
+    }
+  };
+  EXPECT_THROW((void)group.rebuild(options), recover::CoordinatorCrash);
+  const recover::RecoveryReport report = recover::recover_coordinator(rt, wal);
+  EXPECT_EQ(report.rolled_forward, forward);
+  EXPECT_EQ(report.rolled_back, !forward);
+  EXPECT_FALSE(wal.open_transaction().has_value());
+  if (!forward) {
+    EXPECT_EQ(group.registered(), before);
+    return;
+  }
+  EXPECT_EQ(group.registered(), rebuilt);
+  EXPECT_FALSE(rt.bus().has_module(group.survivor));
+  EXPECT_FALSE(rt.bus().has_module(group.dead));
+  const auto members = group.service->router().members(0);
+  std::set<std::string> hosts;
+  for (const std::string& m : members) {
+    EXPECT_TRUE(rt.module_running(m)) << m;
+    const vm::Machine* vm = rt.machine_of(m);
+    EXPECT_TRUE(vm != nullptr && vm->decode_count() > 0 &&
+                vm->restore_frames_remaining() == 0)
+        << m << " never restored";
+    hosts.insert(rt.bus().module_info(m).machine);
+  }
+  EXPECT_EQ(std::set<std::string>(members.begin(), members.end()),
+            std::set<std::string>(clones.begin(), clones.end()));
+  EXPECT_EQ(hosts, (std::set<std::string>{"m0", "sp0"}));
+  ASSERT_TRUE(group.service->run_to_completion(5'000'000, 50'000'000))
+      << "the client never finished";
+  EXPECT_TRUE(group.service->client().ledger_violations().empty());
+  EXPECT_EQ(group.service->router().stats().stale_gets, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Boundaries, RebuildCoordinatorKill,
+    ::testing::Range<std::size_t>(0, kRebuildBoundaries.size()),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return std::string(kRebuildBoundaries[info.param]);
+    });
 
 }  // namespace
 }  // namespace surgeon::verify
